@@ -45,7 +45,7 @@ sim::CosimReport accel_cosim(
 }
 
 
-/// Best-of-reps mean wall seconds for one run_cosim call.
+/// Best-of-reps mean wall seconds for one sim::run call.
 double time_runs(const hw::HlsResult& impl, const sim::CosimConfig& cfg,
                  const std::vector<std::vector<std::int64_t>>& samples,
                  int reps = 12, int runs_per_rep = 30) {

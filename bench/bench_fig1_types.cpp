@@ -27,12 +27,12 @@ void run() {
   const double all_sw_latency = g.total_sw_cycles();
 
   // ---- Type I: fixed boundary, variable processor ------------------------
-  std::vector<opt::DesignPoint> type1;
+  std::vector<std::vector<double>> type1;
   TextTable t1({"processor", "cost", "latency (cyc)"});
   for (const sw::CpuModel& cpu : sw::processor_catalog()) {
     const double latency = all_sw_latency * cpu.clock_scale;
     t1.add_row({cpu.name, fmt(cpu.cost, 0), fmt(latency, 0)});
-    type1.push_back({cpu.cost, latency, type1.size()});
+    type1.push_back({cpu.cost, latency});
   }
   std::cout << "Type I design space (CPU choice only):\n" << t1;
 
@@ -40,7 +40,7 @@ void run() {
   // Sweep the performance requirement: each target traces one point of
   // the cost/latency curve as the hot-spot partitioner buys just enough
   // hardware to meet it.
-  std::vector<opt::DesignPoint> type2;
+  std::vector<std::vector<double>> type2;
   TextTable t2({"latency target", "tasks in HW", "system cost",
                 "latency (cyc)", "cross comm (cyc)"});
   const double cpu_cost = 1000.0;  // reference CPU price
@@ -57,17 +57,16 @@ void run() {
                 fmt(cpu_cost + r.metrics.hw_area, 0),
                 fmt(r.metrics.latency_cycles, 0),
                 fmt(r.metrics.cross_comm_cycles, 0)});
-    type2.push_back({cpu_cost + r.metrics.hw_area,
-                     r.metrics.latency_cycles, type2.size()});
+    type2.push_back({cpu_cost + r.metrics.hw_area, r.metrics.latency_cycles});
   }
   std::cout << "Type II design space (movable boundary):\n" << t2;
 
   const double ref_cost = 40000.0;
   const double ref_lat = 4.0 * all_sw_latency;
-  const auto front1 = opt::pareto_front(type1);
-  const auto front2 = opt::pareto_front(type2);
-  const double hv1 = opt::hypervolume(front1, ref_cost, ref_lat);
-  const double hv2 = opt::hypervolume(front2, ref_cost, ref_lat);
+  const auto front1 = opt::pareto(type1);
+  const auto front2 = opt::pareto(type2);
+  const double hv1 = opt::hypervolume(type1, ref_cost, ref_lat);
+  const double hv2 = opt::hypervolume(type2, ref_cost, ref_lat);
 
   TextTable summary({"space", "pareto points", "hypervolume"});
   summary.add_row({"Type I", fmt(front1.size()), fmt(hv1, 0)});

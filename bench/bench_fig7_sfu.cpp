@@ -10,7 +10,7 @@
 
 #include "apps/kernels.h"
 #include "bench_util.h"
-#include "cosynth/asip.h"
+#include "cosynth/run.h"
 
 namespace mhs {
 namespace {
@@ -47,8 +47,12 @@ void run() {
       {"budget", "style", "speedup", "area used", "per-app detail"});
   bool reconfig_wins_somewhere = false;
   for (const double budget : {900.0, 1500.0, 2000.0, 2600.0, 4000.0}) {
+    cosynth::Request request;
+    request.apps = apps_set;
+    request.cpu = base;
+    request.area_budget = budget;
     const cosynth::AsipDesign fixed =
-        cosynth::synthesize_sfu_static(apps_set, base, budget);
+        *cosynth::run(cosynth::Target::kAsip, request).asip;
     const cosynth::ReconfigSfuDesign flexible =
         cosynth::synthesize_sfu_reconfigurable(apps_set, base, budget);
 

@@ -21,7 +21,7 @@
 
 #include "analysis/lint.h"
 #include "base/table.h"
-#include "hw/hls.h"
+#include "hw/rtl_sim.h"
 #include "ir/cdfg.h"
 #include "obs/obs.h"
 #include "sw/estimate.h"
@@ -85,8 +85,9 @@ int main() {
   hw::HlsConstraints constraints;
   constraints.goal = hw::HlsGoal::kMinArea;
   const hw::HlsResult impl = hw::synthesize(kernel, lib, constraints);
-  std::size_t hw_cycles = 0;
-  const auto hw_result = hw::simulate_datapath(impl, inputs, &hw_cycles);
+  const hw::RtlTrace hw_run = hw::RtlSim(impl).run(inputs);
+  const auto& hw_result = hw_run.outputs;
+  const std::size_t hw_cycles = hw_run.cycles;
   obs::count("quickstart.hw_cycles", hw_cycles);
   hw_span = obs::Span();
 

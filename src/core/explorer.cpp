@@ -8,6 +8,7 @@
 #include "base/table.h"
 #include "ir/optimize.h"
 #include "obs/obs.h"
+#include "opt/pareto.h"
 
 namespace mhs::core {
 
@@ -146,32 +147,6 @@ PointResult Explorer::evaluate_point(
   return result;
 }
 
-std::vector<std::size_t> pareto_indices(
-    const std::vector<PointResult>& points) {
-  const auto dominates = [](const PointResult& a, const PointResult& b) {
-    const auto& ma = a.partition.metrics;
-    const auto& mb = b.partition.metrics;
-    const double ea = static_cast<double>(a.partition.evaluations);
-    const double eb = static_cast<double>(b.partition.evaluations);
-    const bool no_worse = ma.latency_cycles <= mb.latency_cycles &&
-                          ma.hw_area <= mb.hw_area && ea <= eb;
-    const bool better = ma.latency_cycles < mb.latency_cycles ||
-                        ma.hw_area < mb.hw_area || ea < eb;
-    return no_worse && better;
-  };
-  std::vector<std::size_t> frontier;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!points[i].error.empty()) continue;
-    bool dominated = false;
-    for (std::size_t j = 0; j < points.size() && !dominated; ++j) {
-      if (j == i || !points[j].error.empty()) continue;
-      dominated = dominates(points[j], points[i]);
-    }
-    if (!dominated) frontier.push_back(i);
-  }
-  return frontier;
-}
-
 ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
                                 const std::vector<DesignPoint>& points) {
   ExploreReport report;
@@ -194,9 +169,20 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
   });
 
   report.points = std::move(results);
-  report.frontier = pareto_indices(report.points);
-  for (const std::size_t idx : report.frontier) {
-    report.points[idx].on_frontier = true;
+  // Failed points carry no metrics and stay off the frontier.
+  std::vector<std::size_t> ok;
+  std::vector<std::vector<double>> objectives;
+  for (std::size_t i = 0; i < report.points.size(); ++i) {
+    const PointResult& p = report.points[i];
+    if (!p.error.empty()) continue;
+    ok.push_back(i);
+    objectives.push_back({p.partition.metrics.latency_cycles,
+                          p.partition.metrics.hw_area,
+                          static_cast<double>(p.partition.evaluations)});
+  }
+  for (const std::size_t k : opt::pareto(objectives)) {
+    report.frontier.push_back(ok[k]);
+    report.points[ok[k]].on_frontier = true;
   }
   // One measurement feeds both the report's wall time and the batch
   // span, so the two can never disagree.

@@ -69,9 +69,9 @@ struct PointResult {
 /// metrics, and frontier are identical for every thread count.
 struct ExploreReport {
   std::vector<PointResult> points;  ///< one per input point, index order
-  /// Indices (into `points`) of the Pareto-optimal points, ascending.
-  /// Dominance is over (latency_cycles, hw_area, evaluations), all
-  /// minimized.
+  /// Indices (into `points`) of the Pareto-optimal points, ascending
+  /// (opt::pareto over latency_cycles, hw_area and evaluations, all
+  /// minimized). Of points with equal objectives only the first is kept.
   std::vector<std::size_t> frontier;
 
   std::size_t threads = 1;
@@ -172,10 +172,5 @@ class Explorer {
       optimized_kernels_;
   KernelEstimateCache estimate_cache_;
 };
-
-/// Computes the indices of the (latency, area, evaluations)-Pareto-optimal
-/// results among `points` (failed points excluded), ascending. Exposed for
-/// tests.
-std::vector<std::size_t> pareto_indices(const std::vector<PointResult>& points);
 
 }  // namespace mhs::core

@@ -301,24 +301,25 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
             cosim_samples(*largest, config.cosim_samples, config.cosim_seed);
         if (config.narrow_datapaths) {
           // Soundness check before the narrowed datapath is trusted with
-          // the co-simulation: on every sample it must produce the exact
-          // bits of the unnarrowed (word-wide) implementation. The RTL
-          // reference evaluates at full 64-bit precision either way, so
-          // any disagreement means absint proved an unsound width.
-          hw::HlsConstraints wide_constraints;
-          wide_constraints.goal = hw::HlsGoal::kMinArea;
-          const hw::HlsResult wide =
-              hw::synthesize(*largest, config.library, wide_constraints);
-          const std::vector<ir::OpId> inputs = largest->inputs();
+          // the co-simulation: on every sample, RtlSim (which wraps each
+          // value to its proven width) must reproduce the full-width
+          // software reference bit for bit. Any disagreement means
+          // absint proved an unsound width.
+          const ir::CompiledEval reference(cosim_kernel);
+          hw::EquivOptions options;
+          options.reference = &reference;
+          const std::vector<ir::OpId> inputs = cosim_kernel.inputs();
           for (const std::vector<std::int64_t>& in : samples) {
             std::map<std::string, std::int64_t> named;
             for (std::size_t k = 0; k < inputs.size(); ++k) {
-              named[largest->op(inputs[k]).name] = in[k];
+              named[cosim_kernel.op(inputs[k]).name] = in[k];
             }
-            MHS_CHECK(hw::simulate_datapath(impl, named) ==
-                          hw::simulate_datapath(wide, named),
-                      "narrowed datapath diverged from word-wide datapath on "
-                      "a cosim sample");
+            const hw::EquivResult check =
+                hw::check_equivalence(impl, named, options);
+            MHS_CHECK(check.equivalent,
+                      "narrowed datapath diverged from the full-width "
+                      "reference on a cosim sample: "
+                          << check.detail);
           }
         }
         sim::CosimConfig cosim_cfg;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "base/table.h"
+#include "cosynth/targets.h"
 #include "opt/knapsack.h"
 
 namespace mhs::cosynth {
@@ -112,8 +113,9 @@ double weighted_cycles(const std::vector<WeightedKernel>& apps,
 
 }  // namespace
 
-AsipDesign synthesize_asip(const std::vector<WeightedKernel>& apps,
-                           const sw::CpuModel& base, double area_budget) {
+AsipDesign detail::synthesize_asip(const std::vector<WeightedKernel>& apps,
+                                   const sw::CpuModel& base,
+                                   double area_budget) {
   MHS_CHECK(!apps.empty(), "ASIP synthesis needs at least one application");
   AsipDesign design;
   design.base_cycles = weighted_cycles(apps, base, {});
@@ -137,17 +139,6 @@ AsipDesign synthesize_asip(const std::vector<WeightedKernel>& apps,
   design.area_used = solution.total_weight;
   design.asip_cycles = weighted_cycles(apps, base, design.features);
   return design;
-}
-
-AsipDesign synthesize_sfu_static(const std::vector<WeightedKernel>& apps,
-                                 const sw::CpuModel& base,
-                                 double area_budget) {
-  // Same algorithm as the (deprecated) direct ASIP entry point; kept as
-  // a distinct spelling for the figure-7 experiment.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  return synthesize_asip(apps, base, area_budget);
-#pragma GCC diagnostic pop
 }
 
 ReconfigSfuDesign synthesize_sfu_reconfigurable(

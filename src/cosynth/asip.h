@@ -78,22 +78,11 @@ struct AsipDesign {
   std::string summary() const;
 };
 
-/// Picks the feature subset maximizing weighted cycle savings under
-/// `area_budget` (exact knapsack over the candidate features).
-[[deprecated("use cosynth::run(Target::kAsip, ...)")]]
-AsipDesign synthesize_asip(const std::vector<WeightedKernel>& apps,
-                           const sw::CpuModel& base, double area_budget);
-
-/// Figure 7, static style: one feature set shared by all applications
-/// (same as synthesize_asip; provided for symmetry of the experiment).
-AsipDesign synthesize_sfu_static(const std::vector<WeightedKernel>& apps,
-                                 const sw::CpuModel& base,
-                                 double area_budget);
-
 /// Figure 7, reconfigurable style: one programmable FU slot whose
 /// configuration is swapped per application — each app gets its best
 /// single feature; the slot's area is the max over chosen features plus a
-/// reconfiguration overhead factor.
+/// reconfiguration overhead factor. (The static style, one feature set
+/// shared by all applications, is cosynth::run(Target::kAsip).)
 struct ReconfigSfuDesign {
   /// Per-application chosen feature (parallel to apps).
   std::vector<IsaFeature> per_app_feature;

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "base/table.h"
+#include "cosynth/targets.h"
 
 namespace mhs::cosynth {
 
@@ -15,9 +16,9 @@ std::string CoprocDesign::summary() const {
   return os.str();
 }
 
-CoprocDesign synthesize_coprocessor(const partition::CostModel& model,
-                                    const partition::Objective& objective,
-                                    CoprocStrategy strategy) {
+CoprocDesign detail::synthesize_coprocessor(
+    const partition::CostModel& model, const partition::Objective& objective,
+    CoprocStrategy strategy) {
   CoprocDesign design;
   design.partition = partition::run(strategy, model, objective);
   design.all_sw_latency =

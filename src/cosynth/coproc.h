@@ -43,12 +43,6 @@ struct CoprocDesign {
   std::string summary() const;
 };
 
-/// Runs the chosen strategy over `model` / `objective`.
-[[deprecated("use cosynth::run(Target::kCoprocessor, ...)")]]
-CoprocDesign synthesize_coprocessor(const partition::CostModel& model,
-                                    const partition::Objective& objective,
-                                    CoprocStrategy strategy);
-
 /// Synthesizes actual datapaths for every HW-mapped kernel and returns the
 /// summed post-synthesis area — a cross-check of the cost model's shared
 /// estimate. `kernels[i]` describes task i (may be null for tasks without

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "base/table.h"
+#include "cosynth/targets.h"
 
 namespace mhs::cosynth {
 
@@ -91,8 +92,8 @@ struct SelectBnb {
 
 }  // namespace
 
-ImplSelection select_implementations(const std::vector<ImplMenu>& menus,
-                                     double area_budget) {
+ImplSelection detail::select_implementations(
+    const std::vector<ImplMenu>& menus, double area_budget) {
   MHS_CHECK(area_budget >= 0.0, "negative area budget");
   for (const ImplMenu& menu : menus) {
     MHS_CHECK(!menu.variants.empty(),

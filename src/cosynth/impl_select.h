@@ -59,11 +59,4 @@ struct ImplSelection {
 /// The common *Design spelling of the selection result.
 using ImplSelectDesign = ImplSelection;
 
-/// Picks one variant per menu minimizing total weighted cycles under
-/// `area_budget` (exact depth-first branch and bound).
-/// Infeasible (feasible=false) when even the smallest variants overflow.
-[[deprecated("use cosynth::run(Target::kImplSelect, ...)")]]
-ImplSelection select_implementations(const std::vector<ImplMenu>& menus,
-                                     double area_budget);
-
 }  // namespace mhs::cosynth

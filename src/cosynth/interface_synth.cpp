@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "base/table.h"
+#include "cosynth/targets.h"
 #include "sim/peripheral.h"
 #include "sim/run.h"
 
@@ -36,7 +37,7 @@ std::uint64_t AddressMapAllocator::allocate(std::uint64_t size,
   return addr;
 }
 
-InterfaceDesign synthesize_interface(
+InterfaceDesign detail::synthesize_interface(
     const hw::HlsResult& impl, const InterfaceRequirements& reqs,
     const std::vector<std::vector<std::int64_t>>& sample_inputs,
     AddressMapAllocator& allocator) {

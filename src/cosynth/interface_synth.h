@@ -87,13 +87,4 @@ class AddressMapAllocator {
   std::uint64_t next_;
 };
 
-/// Synthesizes the interface for the accelerator `impl`: allocates its
-/// registers and selects + generates the better driver under `reqs`,
-/// co-simulating both alternatives with `sample_inputs`.
-[[deprecated("use cosynth::run(Target::kInterface, ...)")]]
-InterfaceDesign synthesize_interface(
-    const hw::HlsResult& impl, const InterfaceRequirements& reqs,
-    const std::vector<std::vector<std::int64_t>>& sample_inputs,
-    AddressMapAllocator& allocator);
-
 }  // namespace mhs::cosynth

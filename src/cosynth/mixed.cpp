@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "base/table.h"
+#include "cosynth/targets.h"
 
 namespace mhs::cosynth {
 
@@ -106,12 +107,10 @@ MixedDesign evaluate_feature_subset(
 
 }  // namespace
 
-MixedDesign synthesize_mixed(const ir::TaskGraph& graph,
-                             const std::vector<const ir::Cdfg*>& kernels,
-                             const sw::CpuModel& base_cpu,
-                             const hw::ComponentLibrary& lib,
-                             double silicon_budget,
-                             const partition::CommModel& comm) {
+MixedDesign detail::synthesize_mixed(
+    const ir::TaskGraph& graph, const std::vector<const ir::Cdfg*>& kernels,
+    const sw::CpuModel& base_cpu, const hw::ComponentLibrary& lib,
+    double silicon_budget, const partition::CommModel& comm) {
   MHS_CHECK(kernels.size() == graph.num_tasks(),
             "one kernel slot per task required");
   MHS_CHECK(silicon_budget >= 0.0, "negative silicon budget");

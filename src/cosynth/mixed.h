@@ -49,19 +49,6 @@ struct MixedDesign {
   std::string summary() const;
 };
 
-/// Jointly spends `silicon_budget` on ISA features and co-processor
-/// hardware to minimize end-to-end latency of `graph`.
-///
-/// `kernels[i]` is task i's behavioural kernel (nullptr = the task's
-/// existing sw_cycles annotation is feature-independent).
-[[deprecated("use cosynth::run(Target::kMixed, ...)")]]
-MixedDesign synthesize_mixed(const ir::TaskGraph& graph,
-                             const std::vector<const ir::Cdfg*>& kernels,
-                             const sw::CpuModel& base_cpu,
-                             const hw::ComponentLibrary& lib,
-                             double silicon_budget,
-                             const partition::CommModel& comm = {});
-
 /// The two pure strategies at the same budget, for comparison:
 /// Type I only (all tasks in software on the best extended CPU).
 MixedDesign synthesize_pure_type1(const ir::TaskGraph& graph,

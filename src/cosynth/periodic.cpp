@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "cosynth/targets.h"
 #include "opt/binpack.h"
 
 namespace mhs::cosynth {
@@ -99,8 +100,8 @@ PeriodicAnalysis analyze_periodic(const ir::TaskGraph& graph,
   return analysis;
 }
 
-MpDesign synthesize_periodic(const ir::TaskGraph& graph,
-                             const std::vector<PeType>& catalog) {
+MpDesign detail::synthesize_periodic(const ir::TaskGraph& graph,
+                                     const std::vector<PeType>& catalog) {
   MHS_CHECK(!catalog.empty(), "empty PE catalog");
   for (const ir::TaskId t : graph.task_ids()) {
     MHS_CHECK(graph.task(t).period > 0.0,

@@ -57,11 +57,4 @@ PeriodicAnalysis analyze_periodic(const ir::TaskGraph& graph,
                                   const std::vector<PeType>& catalog,
                                   const MpDesign& design);
 
-/// Beck-style periodic synthesis: packs utilization (wcet/period) into
-/// PE capacity, then tightens the packing margin until response-time
-/// analysis passes on every instance. All tasks need positive periods.
-[[deprecated("use cosynth::run(Target::kMultiprocPeriodic, ...)")]]
-MpDesign synthesize_periodic(const ir::TaskGraph& graph,
-                             const std::vector<PeType>& catalog);
-
 }  // namespace mhs::cosynth

@@ -1,6 +1,7 @@
 #include "cosynth/run.h"
 
 #include "analysis/verify.h"
+#include "cosynth/targets.h"
 #include "obs/obs.h"
 
 namespace mhs::cosynth {
@@ -103,13 +104,6 @@ std::string Result::summary() const {
   return {};
 }
 
-// run() is the one sanctioned entry point; it dispatches onto the
-// deprecated per-target functions, which still own the implementations.
-// The suppression is scoped to this dispatcher on purpose: every other
-// call site in the tree must migrate to run() instead.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 Result run(Target target, const Request& request) {
   obs::Registry* const sink = obs::resolve(request.trace_sink);
   obs::Span span(sink, target_name(target), "cosynth");
@@ -123,45 +117,43 @@ Result run(Target target, const Request& request) {
     case Target::kCoprocessor:
       MHS_CHECK(request.model != nullptr,
                 "cosynth::run(kCoprocessor) needs request.model");
-      result.coprocessor = synthesize_coprocessor(
+      result.coprocessor = detail::synthesize_coprocessor(
           *request.model, request.objective, request.strategy);
       break;
     case Target::kAsip:
-      result.asip =
-          synthesize_asip(request.apps, request.cpu, request.area_budget);
+      result.asip = detail::synthesize_asip(request.apps, request.cpu,
+                                            request.area_budget);
       break;
     case Target::kMixed:
       MHS_CHECK(request.graph != nullptr && request.kernels != nullptr,
                 "cosynth::run(kMixed) needs request.graph and "
                 "request.kernels");
-      result.mixed = synthesize_mixed(*request.graph, *request.kernels,
-                                      request.cpu, request.library,
-                                      request.area_budget, request.comm);
+      result.mixed = detail::synthesize_mixed(
+          *request.graph, *request.kernels, request.cpu, request.library,
+          request.area_budget, request.comm);
       break;
     case Target::kInterface:
       MHS_CHECK(request.impl != nullptr && request.samples != nullptr &&
                     request.allocator != nullptr,
                 "cosynth::run(kInterface) needs request.impl, "
                 "request.samples, and request.allocator");
-      result.iface =
-          synthesize_interface(*request.impl, request.interface_reqs,
-                               *request.samples, *request.allocator);
+      result.iface = detail::synthesize_interface(
+          *request.impl, request.interface_reqs, *request.samples,
+          *request.allocator);
       break;
     case Target::kImplSelect:
       result.impl_select =
-          select_implementations(request.menus, request.area_budget);
+          detail::select_implementations(request.menus, request.area_budget);
       break;
     case Target::kMultiprocPeriodic:
       MHS_CHECK(request.graph != nullptr,
                 "cosynth::run(kMultiprocPeriodic) needs request.graph");
-      result.multiproc = synthesize_periodic(
+      result.multiproc = detail::synthesize_periodic(
           *request.graph,
           request.catalog.empty() ? default_pe_catalog() : request.catalog);
       break;
   }
   return result;
 }
-
-#pragma GCC diagnostic pop
 
 }  // namespace mhs::cosynth

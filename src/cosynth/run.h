@@ -12,9 +12,8 @@
 //
 // and returns a Result exposing the common *Design shape (latency(),
 // area(), summary()), so core::Report can aggregate any target
-// uniformly. The legacy free functions (synthesize_coprocessor,
-// synthesize_asip, ...) remain as the thin per-target entry points; run()
-// produces bit-identical results to calling them directly.
+// uniformly. run() is the only way in: the targets behind it are
+// declared in the private header cosynth/targets.h.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +122,7 @@ struct Result {
   std::string summary() const;
 };
 
-/// Runs the chosen co-synthesis target over `request`. Bit-identical to
-/// calling the target's legacy free function with the same inputs.
+/// Runs the chosen co-synthesis target over `request`.
 Result run(Target target, const Request& request);
 
 }  // namespace mhs::cosynth

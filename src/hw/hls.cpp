@@ -1,8 +1,5 @@
 #include "hw/hls.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "obs/obs.h"
 
 namespace mhs::hw {
@@ -91,54 +88,6 @@ HlsResult synthesize(const ir::Cdfg& cdfg, const ComponentLibrary& lib,
   obs::observe("hls.schedule_len", latency);
   return HlsResult{std::move(schedule), std::move(binding),
                    std::move(controller), area, latency};
-}
-
-std::map<std::string, std::int64_t> simulate_datapath(
-    const HlsResult& impl, const std::map<std::string, std::int64_t>& inputs,
-    std::size_t* cycles) {
-  const Schedule& schedule = impl.schedule;
-  const ir::Cdfg& cdfg = schedule.cdfg();
-
-  // Order ops by completion time so that each op sees the operand values
-  // that were committed in earlier cycles (or the same cycle via chaining).
-  std::vector<ir::OpId> order = cdfg.op_ids();
-  std::stable_sort(order.begin(), order.end(),
-                   [&](ir::OpId a, ir::OpId b) {
-                     return schedule.end_of(a) < schedule.end_of(b);
-                   });
-
-  std::vector<std::int64_t> value(cdfg.num_ops(), 0);
-  std::map<std::string, std::int64_t> out;
-  for (const ir::OpId id : order) {
-    const ir::Op& op = cdfg.op(id);
-    switch (op.kind) {
-      case ir::OpKind::kConst:
-        value[id.index()] = op.value;
-        break;
-      case ir::OpKind::kInput: {
-        const auto it = inputs.find(op.name);
-        MHS_CHECK(it != inputs.end(),
-                  "simulate_datapath: missing input '" << op.name << "'");
-        value[id.index()] = it->second;
-        break;
-      }
-      case ir::OpKind::kOutput:
-        value[id.index()] = value[op.operands[0].index()];
-        out[op.name] = value[id.index()];
-        break;
-      default: {
-        std::vector<std::int64_t> args;
-        args.reserve(op.operands.size());
-        for (const ir::OpId o : op.operands) {
-          args.push_back(value[o.index()]);
-        }
-        value[id.index()] = ir::apply_op(op.kind, args);
-        break;
-      }
-    }
-  }
-  if (cycles != nullptr) *cycles = schedule.num_steps();
-  return out;
 }
 
 }  // namespace mhs::hw

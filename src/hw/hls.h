@@ -2,13 +2,12 @@
 //
 // This is the "behavioural synthesis" substrate the paper's co-processor
 // examples (Figures 7–9) assume: it turns a Cdfg into a datapath/controller
-// implementation with a defensible area and latency, and can simulate that
-// implementation cycle-by-cycle for co-simulation.
+// implementation with a defensible area and latency. hw::RtlSim
+// (hw/rtl_sim.h) executes the result cycle by cycle.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <string>
+#include <cstddef>
+#include <vector>
 
 #include "hw/binding.h"
 #include "hw/fsm.h"
@@ -67,16 +66,5 @@ HlsResult synthesize(const ir::Cdfg& cdfg, const ComponentLibrary& lib,
 /// Computes the area breakdown of a scheduled+bound implementation.
 AreaReport compute_area(const Schedule& schedule, const Binding& binding,
                         const Controller& controller);
-
-/// Executes the synthesized implementation cycle-by-cycle: ops fire in
-/// their scheduled control step, results become visible when their FU
-/// latency elapses. Returns the named outputs and sets `*cycles` (if non-
-/// null) to the number of cycles consumed (== schedule.num_steps()).
-///
-/// This is the RTL-level reference used by the co-simulator; by
-/// construction it must agree with ir::Cdfg::evaluate.
-std::map<std::string, std::int64_t> simulate_datapath(
-    const HlsResult& impl, const std::map<std::string, std::int64_t>& inputs,
-    std::size_t* cycles = nullptr);
 
 }  // namespace mhs::hw

@@ -5,8 +5,8 @@
 // unit instances the binding assigned them to, routes every operand read
 // through a bound resource (the producing FU's output latch or the
 // allocated register), and wraps each committed value to the op's proven
-// datapath width (PR 9 narrowing). Unlike hw::simulate_datapath — which
-// evaluates the dataflow graph directly and can only validate values —
+// datapath width (PR 9 narrowing). Unlike Cdfg::evaluate, which
+// evaluates the dataflow graph directly and can only validate values,
 // RtlSim validates the *structure*: a schedule that reads a value before
 // its producer finishes, a binding that recycles an FU before a consumer
 // has read it, a register shared by two live values, or a controller

@@ -175,19 +175,19 @@ class UseIndex {
 };
 
 /// Applies one operation to evaluated operand values (shared by the Cdfg
-/// evaluator, the ISS reference checker, and the datapath simulator).
+/// evaluators, the equivalence checker, and hw::RtlSim).
 std::int64_t apply_op(OpKind kind, std::span<const std::int64_t> args);
 
 /// A kernel precompiled for repeated evaluation.
 ///
-/// Cdfg::evaluate (and hw::simulate_datapath) rebuild name maps and
-/// per-op argument vectors on every call — fine for one-shot functional
-/// checks, ruinous in the co-simulation inner loop where the same kernel
-/// runs per sample. CompiledEval flattens the DAG once into fixed-slot
-/// steps (insertion order is topological, and a pure DAG evaluates to
-/// the same values in any topological order), then run() is a tight
-/// array walk delegating each step to apply_op — results bit-identical
-/// to evaluate(), including its divide-by-zero and shift-range traps.
+/// Cdfg::evaluate rebuilds name maps and per-op argument vectors on
+/// every call — fine for one-shot functional checks, ruinous in the
+/// co-simulation inner loop where the same kernel runs per sample.
+/// CompiledEval flattens the DAG once into fixed-slot steps (insertion
+/// order is topological, and a pure DAG evaluates to the same values in
+/// any topological order), then run() is a tight array walk delegating
+/// each step to apply_op — results bit-identical to evaluate(),
+/// including its divide-by-zero and shift-range traps.
 ///
 /// Instances are cheap to move and safe to share across threads for
 /// run()/evaluate(), which touch only caller-provided and local state.

@@ -358,7 +358,6 @@ struct TraceContext {
   std::string trace_id;     ///< stable id, e.g. "r42"
   Registry* sink = nullptr; ///< per-request sink (null = use the global)
   double start_us = 0.0;    ///< obs-clock time the request was admitted
-  double deadline_us = 0.0; ///< obs-clock deadline (0 = none)
 };
 
 /// RAII installation of a registry (restores the previous sink, so

@@ -8,8 +8,7 @@ namespace mhs::opt {
 namespace {
 
 /// Depth-first branch and bound with the greedy fractional relaxation as
-/// the upper bound. Exact in real arithmetic; `resolution` is retained in
-/// the interface for compatibility but unused (the search is exact).
+/// the upper bound. Exact in real arithmetic.
 struct KnapsackBnb {
   const std::vector<KnapsackItem>& items;  // sorted by value density
   double capacity;
@@ -63,9 +62,8 @@ struct KnapsackBnb {
 }  // namespace
 
 KnapsackResult solve_knapsack(const std::vector<KnapsackItem>& items,
-                              double capacity, std::size_t resolution) {
+                              double capacity) {
   MHS_CHECK(capacity >= 0.0, "knapsack capacity must be non-negative");
-  MHS_CHECK(resolution >= 1, "knapsack resolution must be >= 1");
   KnapsackResult result;
   if (items.empty() || capacity <= 0.0) return result;
 

@@ -1,4 +1,4 @@
-// Exact 0/1 knapsack (dynamic programming over scaled weights).
+// Exact 0/1 knapsack (depth-first branch and bound).
 //
 // Used by the ASIP synthesis of §4.3/§4.4: candidate custom instructions
 // / functional units are items (weight = silicon area, value = cycles
@@ -28,10 +28,8 @@ struct KnapsackResult {
 
 /// Maximizes total value under `capacity`. Exact branch-and-bound with a
 /// fractional-relaxation bound: exact in real arithmetic, fast for the
-/// tens-of-items instances co-synthesis produces. `resolution` is kept
-/// for interface stability and ignored.
+/// tens-of-items instances co-synthesis produces.
 KnapsackResult solve_knapsack(const std::vector<KnapsackItem>& items,
-                              double capacity,
-                              std::size_t resolution = 4096);
+                              double capacity);
 
 }  // namespace mhs::opt

@@ -1,4 +1,5 @@
-// Pareto-front utilities for design-space exploration reports.
+// The Pareto filter of design-space exploration reports, and the
+// hypervolume indicator built on it.
 #pragma once
 
 #include <cstddef>
@@ -6,27 +7,21 @@
 
 namespace mhs::opt {
 
-/// One design point in (cost, latency)-style two-objective space.
-/// Lower is better in both objectives.
-struct DesignPoint {
-  double objective1 = 0.0;
-  double objective2 = 0.0;
-  std::size_t key = 0;  ///< caller identity
-};
+/// Indices of the Pareto-optimal rows of `points`, ascending. Each row
+/// is one point's objective vector; every objective is minimized and
+/// every row must have the same length. A row is dropped when another
+/// row is no worse in every objective and better in at least one. Of
+/// rows with exactly equal objective vectors, only the lowest index is
+/// kept. Comparisons are exact.
+std::vector<std::size_t> pareto(const std::vector<std::vector<double>>& points);
 
-/// Returns true if `a` dominates `b` (no worse in both, better in one).
-bool dominates(const DesignPoint& a, const DesignPoint& b);
-
-/// Filters `points` down to its Pareto-optimal subset, sorted by
-/// objective1 ascending. Duplicate-coordinate points keep the first.
-std::vector<DesignPoint> pareto_front(std::vector<DesignPoint> points);
-
-/// Hypervolume indicator of a front w.r.t. a reference point (both
-/// objectives minimized; reference must dominate-be-dominated-by none,
-/// i.e. lie above/right of every point). Larger = richer trade-off space.
-/// This quantifies the paper's claim that Type II systems expose "a
-/// greater set of HW/SW trade-offs" (Experiment E1).
-double hypervolume(const std::vector<DesignPoint>& front, double ref1,
-                   double ref2);
+/// Hypervolume indicator of 2-objective `points` w.r.t. the reference
+/// point (ref1, ref2): the area their Pareto front dominates inside the
+/// reference box. Both objectives are minimized and the reference must
+/// bound every front point. Larger = richer trade-off space. This
+/// quantifies the paper's claim that Type II systems expose "a greater
+/// set of HW/SW trade-offs" (Experiment E1).
+double hypervolume(const std::vector<std::vector<double>>& points,
+                   double ref1, double ref2);
 
 }  // namespace mhs::opt

@@ -333,44 +333,4 @@ PartitionResult run(Strategy strategy, const CostModel& model,
   return result;
 }
 
-PartitionResult partition_all_sw(const CostModel& model,
-                                 const Objective& objective) {
-  return run(Strategy::kAllSw, model, objective);
-}
-
-PartitionResult partition_all_hw(const CostModel& model,
-                                 const Objective& objective) {
-  return run(Strategy::kAllHw, model, objective);
-}
-
-PartitionResult partition_hot_spot(const CostModel& model,
-                                   const Objective& objective) {
-  return run(Strategy::kHotSpot, model, objective);
-}
-
-PartitionResult partition_unload(const CostModel& model,
-                                 const Objective& objective) {
-  return run(Strategy::kUnload, model, objective);
-}
-
-PartitionResult partition_kl(const CostModel& model,
-                             const Objective& objective, Mapping start) {
-  PartitionOptions options;
-  options.start = std::move(start);
-  return run(Strategy::kKl, model, objective, options);
-}
-
-PartitionResult partition_annealed(const CostModel& model,
-                                   const Objective& objective,
-                                   const opt::AnnealConfig& anneal) {
-  PartitionOptions options;
-  options.anneal = anneal;
-  return run(Strategy::kAnnealed, model, objective, options);
-}
-
-PartitionResult partition_gclp(const CostModel& model,
-                               const Objective& objective) {
-  return run(Strategy::kGclp, model, objective);
-}
-
 }  // namespace mhs::partition

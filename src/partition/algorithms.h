@@ -2,27 +2,26 @@
 //
 // Implements the partitioning styles the paper surveys in §4.5:
 //
-//   partition_hot_spot  — Henkel/Ernst COSYMA style [17]: start all-SW and
-//                         move performance-critical regions into hardware
-//                         until the latency target is met.
-//   partition_unload    — Gupta & De Micheli style [6]: start all-HW and
-//                         move non-critical functions to software to cut
-//                         cost while performance permits.
-//   partition_kl        — Kernighan–Lin/FM-style pass-based improvement
-//                         with single-task moves and best-prefix rollback.
-//   partition_annealed  — simulated annealing over random task flips.
-//   partition_gclp      — Kalavade & Lee GCLP style: map tasks in
-//                         topological order, steering each decision by a
-//                         global criticality vs. local cost trade-off.
+//   kHotSpot  — Henkel/Ernst COSYMA style [17]: start all-SW and move
+//               performance-critical regions into hardware until the
+//               latency target is met.
+//   kUnload   — Gupta & De Micheli style [6]: start all-HW and move
+//               non-critical functions to software to cut cost while
+//               performance permits.
+//   kKl       — Kernighan–Lin/FM-style pass-based improvement with
+//               single-task moves and best-prefix rollback.
+//   kAnnealed — simulated annealing over random task flips.
+//   kGclp     — Kalavade & Lee GCLP style: map tasks in topological
+//               order, steering each decision by a global criticality
+//               vs. local cost trade-off.
 //
 // All algorithms optimize the scalar energy of a CostModel Objective and
 // report the metrics of their final mapping plus how many cost-model
 // evaluations they spent (the comparison axes of the E8 benchmark).
 //
-// `run(Strategy, ...)` is the preferred entry point: every consumer
+// `run(Strategy, ...)` is the one entry point: every consumer
 // (core::Explorer, core::flow, cosynth::coproc, the benches) selects an
-// algorithm through this one enum-driven dispatcher; the per-algorithm
-// free functions remain as thin wrappers around it.
+// algorithm through this enum-driven dispatcher.
 #pragma once
 
 #include <string>
@@ -89,49 +88,5 @@ struct PartitionResult {
 PartitionResult run(Strategy strategy, const CostModel& model,
                     const Objective& objective,
                     const PartitionOptions& options = {});
-
-// The per-strategy free functions below predate run() and survive only
-// as thin wrappers for source compatibility. New code goes through
-// run(Strategy, ...) — one entry point per subsystem (see DESIGN.md).
-
-/// Trivial baselines.
-[[deprecated("use partition::run(Strategy::kAllSw, ...)")]]
-PartitionResult partition_all_sw(const CostModel& model,
-                                 const Objective& objective);
-[[deprecated("use partition::run(Strategy::kAllHw, ...)")]]
-PartitionResult partition_all_hw(const CostModel& model,
-                                 const Objective& objective);
-
-/// Henkel/Ernst style: all-SW start; repeatedly move the SW task with the
-/// best latency-gain-per-area ratio into HW until the latency target is
-/// met (or no move helps). Requires objective.latency_target > 0.
-[[deprecated("use partition::run(Strategy::kHotSpot, ...)")]]
-PartitionResult partition_hot_spot(const CostModel& model,
-                                   const Objective& objective);
-
-/// Gupta & De Micheli style: all-HW start; repeatedly move to SW the task
-/// whose eviction saves the most area while the latency target still
-/// holds. Requires objective.latency_target > 0.
-[[deprecated("use partition::run(Strategy::kUnload, ...)")]]
-PartitionResult partition_unload(const CostModel& model,
-                                 const Objective& objective);
-
-/// Pass-based single-task-move improvement (KL/FM flavor) from a given
-/// starting mapping (defaults to all-SW when `start` is empty).
-[[deprecated("use partition::run(Strategy::kKl, ...) with options.start")]]
-PartitionResult partition_kl(const CostModel& model,
-                             const Objective& objective,
-                             Mapping start = {});
-
-/// Simulated annealing over random flips.
-[[deprecated("use partition::run(Strategy::kAnnealed, ...) with options.anneal")]]
-PartitionResult partition_annealed(const CostModel& model,
-                                   const Objective& objective,
-                                   const opt::AnnealConfig& anneal = {});
-
-/// GCLP-style constructive mapping in topological order.
-[[deprecated("use partition::run(Strategy::kGclp, ...)")]]
-PartitionResult partition_gclp(const CostModel& model,
-                               const Objective& objective);
 
 }  // namespace mhs::partition

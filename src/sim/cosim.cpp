@@ -5,6 +5,7 @@
 
 #include "base/table.h"
 #include "obs/obs.h"
+#include "sim/levels.h"
 #include "sim/peripheral.h"
 
 namespace mhs::sim {
@@ -92,6 +93,14 @@ void attach_fallback(const hw::HlsResult& impl, DriverSpec& spec) {
   spec.fallback_body = std::move(prog.code);
 }
 
+/// Base of the ISS-level sample buffers. The driver's fixed windows all
+/// sit below it: compiler I/O and spills (from 0x1000), the IRQ flag and
+/// save area (0x4000, 0x5000), the relocated fallback I/O (from 0x6000),
+/// and the peripheral and monitor MMIO windows (0x10000, 0x30000).
+constexpr std::uint64_t kSampleBufferBase = 0x40000;
+static_assert(kSampleBufferBase >= kPeripheralBase + PeripheralLayout::kSize);
+static_assert(kSampleBufferBase >= kMonitorBase + MonitorLayout::kSize);
+
 std::vector<std::string> kernel_input_names(const hw::HlsResult& impl) {
   std::vector<std::string> names;
   const ir::Cdfg& cdfg = impl.schedule.cdfg();
@@ -124,6 +133,10 @@ CosimReport run_iss_levels(const hw::HlsResult& impl,
   spec.num_inputs = periph.num_inputs();
   spec.num_outputs = periph.num_outputs();
   spec.samples = samples.size();
+  // Sample-major buffers sized from this run: all inputs, then all
+  // outputs, so no sample count can overlap a fixed window.
+  spec.in_buffer = kSampleBufferBase;
+  spec.out_buffer = spec.in_buffer + 8 * samples.size() * spec.num_inputs;
   spec.use_irq = config.use_irq;
   spec.background_unroll = config.background_unroll;
   if (fi != nullptr) {
@@ -655,9 +668,9 @@ CosimReport dispatch_cosim(const hw::HlsResult& impl,
 
 }  // namespace
 
-CosimReport run_cosim(const hw::HlsResult& impl, const CosimConfig& config,
-                      const std::vector<std::vector<std::int64_t>>&
-                          sample_inputs) {
+CosimReport detail::run_cosim(
+    const hw::HlsResult& impl, const CosimConfig& config,
+    const std::vector<std::vector<std::int64_t>>& sample_inputs) {
   MHS_CHECK(!sample_inputs.empty(), "co-simulation needs at least 1 sample");
   obs::Registry* const sink = obs::resolve(config.trace_sink);
   obs::Span span(sink, interface_level_name(config.level), "cosim");

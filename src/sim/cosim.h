@@ -89,11 +89,4 @@ struct CosimReport {
   fault::ResilienceReport resilience;
 };
 
-/// Streams `sample_inputs` through the accelerator `impl` under `config`.
-/// sample_inputs[i] holds sample i's kernel inputs in cdfg-input order.
-[[deprecated("use sim::run({.level = Level::kAccelerator, ...})")]]
-CosimReport run_cosim(const hw::HlsResult& impl, const CosimConfig& config,
-                      const std::vector<std::vector<std::int64_t>>&
-                          sample_inputs);
-
 }  // namespace mhs::sim

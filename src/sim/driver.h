@@ -77,6 +77,8 @@ struct DriverSpec {
   /// interrupt and wait on an in-memory flag set by the ISR.
   bool use_irq = false;
   /// Memory buffers (sample-major: sample i's inputs at in_buffer+i*K*8).
+  /// The defaults hold 512 input words; the co-simulation sizes and
+  /// places its own.
   std::uint64_t in_buffer = 0x1000;
   std::uint64_t out_buffer = 0x2000;
   /// Completion flag written by the ISR (interrupt-driven mode).

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <deque>
 
+#include "sim/levels.h"
+
 namespace mhs::sim {
 
 namespace {
@@ -211,9 +213,9 @@ class OsCosim {
 
 }  // namespace
 
-OsCosimResult run_message_cosim(const ir::ProcessNetwork& net,
-                                const std::vector<bool>& in_hw,
-                                const OsCosimConfig& config) {
+OsCosimResult detail::run_message_cosim(const ir::ProcessNetwork& net,
+                                        const std::vector<bool>& in_hw,
+                                        const OsCosimConfig& config) {
   OsCosim engine(net, in_hw, config);
   return engine.run();
 }

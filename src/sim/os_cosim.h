@@ -64,11 +64,4 @@ struct OsCosimResult {
   bool deadlocked = false;
 };
 
-/// Runs `net` with process p in hardware iff in_hw[p.index()] is true.
-/// Precondition: in_hw.size() == net.num_processes(); net.validate() holds.
-[[deprecated("use sim::run({.level = Level::kProcess, ...})")]]
-OsCosimResult run_message_cosim(const ir::ProcessNetwork& net,
-                                const std::vector<bool>& in_hw,
-                                const OsCosimConfig& config);
-
 }  // namespace mhs::sim

@@ -80,8 +80,9 @@ void StreamPeripheral::start() {
   ++activations_;
   const std::uint64_t gen = ++generation_;
 
-  // Compute the functional result from the precompiled datapath
-  // (bit-identical to hw::simulate_datapath over the same schedule).
+  // Compute the functional result from the precompiled datapath: the
+  // full-width ir::CompiledEval reference that hw::check_equivalence
+  // holds hw::RtlSim to.
   eval_.run(input_regs_, pending_out_);
 
   const Time latency = impl_->latency;

@@ -1,6 +1,7 @@
 #include "sim/run.h"
 
 #include "base/table.h"
+#include "sim/levels.h"
 
 namespace mhs::sim {
 
@@ -57,13 +58,6 @@ std::string SimResult::summary() const {
   return {};
 }
 
-// run() is the one sanctioned entry point; it dispatches onto the
-// deprecated per-level functions, which still own the implementations.
-// The suppression is scoped to this dispatcher on purpose: every other
-// call site in the tree must migrate to run() instead.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 SimResult run(const SimRequest& request) {
   SimResult result;
   result.level = request.level;
@@ -72,27 +66,26 @@ SimResult run(const SimRequest& request) {
       MHS_CHECK(request.impl != nullptr && request.samples != nullptr,
                 "sim::run(kAccelerator) needs request.impl and "
                 "request.samples");
-      result.cosim = run_cosim(*request.impl, request.cosim,
-                               *request.samples);
+      result.cosim =
+          detail::run_cosim(*request.impl, request.cosim, *request.samples);
       break;
     case Level::kProcess:
       MHS_CHECK(request.network != nullptr && request.in_hw != nullptr,
                 "sim::run(kProcess) needs request.network and "
                 "request.in_hw");
-      result.os = run_message_cosim(*request.network, *request.in_hw,
-                                    request.os);
+      result.os = detail::run_message_cosim(*request.network,
+                                            *request.in_hw, request.os);
       break;
     case Level::kSystem:
       MHS_CHECK(request.graph != nullptr && request.mapping != nullptr,
                 "sim::run(kSystem) needs request.graph and "
                 "request.mapping");
-      result.system =
-          run_system_cosim(*request.graph, *request.mapping, request.system);
+      result.system = detail::run_system_cosim(*request.graph,
+                                               *request.mapping,
+                                               request.system);
       break;
   }
   return result;
 }
-
-#pragma GCC diagnostic pop
 
 }  // namespace mhs::sim

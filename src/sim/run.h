@@ -15,10 +15,8 @@
 //       simulation of a partitioned task graph on the shared CPU + bus
 //
 // and returns a SimResult exposing the common shape (total_cycles(),
-// sim_events(), summary()). The legacy free functions (run_cosim,
-// run_message_cosim, run_system_cosim) remain as the thin per-level
-// implementations; run() produces bit-identical results to calling them
-// directly.
+// sim_events(), summary()). run() is the only way in: the levels behind
+// it are declared in the private header sim/levels.h.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +87,7 @@ struct SimResult {
   std::string summary() const;
 };
 
-/// Runs the simulation the request selects. Bit-identical to calling the
-/// level's legacy free function with the same inputs.
+/// Runs the simulation the request selects.
 SimResult run(const SimRequest& request);
 
 }  // namespace mhs::sim

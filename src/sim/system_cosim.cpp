@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "ir/task_graph_algos.h"
+#include "sim/levels.h"
 
 namespace mhs::sim {
 
@@ -171,9 +172,9 @@ class SystemCosim {
 
 }  // namespace
 
-SystemCosimResult run_system_cosim(const ir::TaskGraph& graph,
-                                   const partition::Mapping& mapping,
-                                   const SystemCosimConfig& config) {
+SystemCosimResult detail::run_system_cosim(const ir::TaskGraph& graph,
+                                           const partition::Mapping& mapping,
+                                           const SystemCosimConfig& config) {
   SystemCosim engine(graph, mapping, config);
   return engine.run();
 }

@@ -43,11 +43,4 @@ struct SystemCosimResult {
   std::uint64_t sim_events = 0;
 };
 
-/// Co-simulates `graph` under `mapping` (true = hardware). Task compute
-/// times come from the graph's cost annotations (sw_cycles / hw_cycles).
-[[deprecated("use sim::run({.level = Level::kSystem, ...})")]]
-SystemCosimResult run_system_cosim(const ir::TaskGraph& graph,
-                                   const partition::Mapping& mapping,
-                                   const SystemCosimConfig& config = {});
-
 }  // namespace mhs::sim

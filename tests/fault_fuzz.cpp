@@ -4,7 +4,7 @@
 //
 // Two surfaces take adversarial input here:
 //
-//   1. run_cosim under randomly generated FaultPlans — every fault kind
+//   1. sim::run under randomly generated FaultPlans — every fault kind
 //      at random rates/params, all four interface levels, polling and
 //      IRQ drivers. Whatever the plan does, a run must terminate, keep
 //      the resilience invariants (injected >= detected >= recovered,

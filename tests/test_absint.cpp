@@ -18,7 +18,7 @@
 #include "base/rng.h"
 #include "core/flow.h"
 #include "core/report.h"
-#include "hw/hls.h"
+#include "hw/equivalence.h"
 #include "ir/optimize.h"
 #include "ir/serialize.h"
 #include "sim/run.h"
@@ -404,17 +404,44 @@ TEST(AbsintNarrow, NarrowedDatapathIsBitIdenticalOnInRangeInputs) {
     const ir::Cdfg annotated = ir::with_input_ranges(base, {-128, 127});
     const hw::HlsResult wide = synth_wide(base, lib);
     const hw::HlsResult narrow = synth_narrow(annotated, lib);
+    // RtlSim wraps every committed value to its op's width, so a width
+    // absint got wrong shows up here as different output bits.
+    const hw::RtlSim wide_rtl(wide);
+    const hw::RtlSim narrow_rtl(narrow);
     Rng rng(99);
     for (int t = 0; t < 16; ++t) {
       std::map<std::string, std::int64_t> in;
       for (const ir::OpId id : base.inputs()) {
         in[base.op(id).name] = rng.uniform_int(-128, 127);
       }
-      EXPECT_EQ(hw::simulate_datapath(narrow, in),
-                hw::simulate_datapath(wide, in))
+      EXPECT_EQ(narrow_rtl.run(in).outputs, wide_rtl.run(in).outputs)
           << base.name();
     }
   }
+}
+
+TEST(AbsintNarrow, UnsoundWidthsAreReportedDivergent) {
+  // The flow's narrowing check (hw::check_equivalence on every cosim
+  // sample) must reject widths that absint did not prove: dct8 with
+  // every op forced to 4 bits.
+  const hw::ComponentLibrary lib = hw::default_library();
+  const ir::Cdfg kernel = apps::dct8_kernel();
+  hw::HlsConstraints c;
+  c.goal = hw::HlsGoal::kMinArea;
+  c.op_width.assign(kernel.num_ops(), 4);
+  const hw::HlsResult impl = hw::synthesize(kernel, lib, c);
+  const std::vector<ir::OpId> inputs = kernel.inputs();
+  const auto samples = core::cosim_samples(
+      kernel, 64, core::FlowConfig::defaults().cosim_seed);
+  std::size_t divergent = 0;
+  for (const std::vector<std::int64_t>& sample : samples) {
+    std::map<std::string, std::int64_t> in;
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      in[kernel.op(inputs[k]).name] = sample[k];
+    }
+    if (!hw::check_equivalence(impl, in).equivalent) ++divergent;
+  }
+  EXPECT_GT(divergent, samples.size() / 2);
 }
 
 TEST(AbsintNarrow, CosimChecksumsMatchAtEveryInterfaceLevel) {

@@ -273,7 +273,7 @@ TEST(VerifyNetwork, ZeroCapacityChannelIsPn008) {
 TEST(VerifyHls, SynthesizedImplementationIsClean) {
   // The schedule inside HlsResult points at the caller's Cdfg and library,
   // so both must outlive the implementation (same contract as
-  // hw::simulate_datapath).
+  // hw::RtlSim).
   const ir::Cdfg kernel = apps::fir_kernel(4);
   const hw::ComponentLibrary lib = hw::default_library();
   hw::HlsConstraints constraints;

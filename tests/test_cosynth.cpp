@@ -16,12 +16,6 @@
 #include "cosynth/run.h"
 #include "ir/task_graph_gen.h"
 
-// This file is the designated home of the deprecated per-target entry
-// points: it unit-tests their behaviour directly and proves run()
-// parity against them (RunDispatcher.*Parity below). Everything else in
-// the tree goes through cosynth::run / partition::run.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace mhs::cosynth {
 namespace {
 
@@ -32,6 +26,28 @@ ir::TaskGraph small_graph(std::uint64_t seed, std::size_t n) {
   cfg.mean_sw_cycles = 1000.0;
   cfg.cost_spread = 2.0;
   return ir::generate_task_graph(cfg, rng);
+}
+
+InterfaceDesign interface_for(const hw::HlsResult& impl,
+                              const InterfaceRequirements& reqs,
+                              const std::vector<std::vector<std::int64_t>>&
+                                  samples) {
+  AddressMapAllocator alloc;
+  Request req;
+  req.impl = &impl;
+  req.interface_reqs = reqs;
+  req.samples = &samples;
+  req.allocator = &alloc;
+  return *run(Target::kInterface, req).iface;
+}
+
+AsipDesign asip_for(const std::vector<WeightedKernel>& apps,
+                    const sw::CpuModel& cpu, double area_budget) {
+  Request req;
+  req.apps = apps;
+  req.cpu = cpu;
+  req.area_budget = area_budget;
+  return *run(Target::kAsip, req).asip;
 }
 
 TEST(Multiproc, MakespanSinglePeIsSerialSum) {
@@ -181,17 +197,13 @@ TEST(InterfaceSynth, LatencyCriticalPicksPolling) {
 
   InterfaceRequirements latency_first;
   latency_first.latency_weight = 1.0;
-  AddressMapAllocator alloc1;
-  const InterfaceDesign d1 =
-      synthesize_interface(impl, latency_first, samples, alloc1);
+  const InterfaceDesign d1 = interface_for(impl, latency_first, samples);
   EXPECT_FALSE(d1.candidates[d1.selected].use_irq);
 
   InterfaceRequirements throughput_first;
   throughput_first.latency_weight = 0.0;
   throughput_first.background_unroll = 8;
-  AddressMapAllocator alloc2;
-  const InterfaceDesign d2 =
-      synthesize_interface(impl, throughput_first, samples, alloc2);
+  const InterfaceDesign d2 = interface_for(impl, throughput_first, samples);
   EXPECT_TRUE(d2.candidates[d2.selected].use_irq);
   // Both evaluated candidates agree functionally.
   EXPECT_EQ(d2.candidates[0].report.checksum,
@@ -221,7 +233,7 @@ TEST(Asip, BiggerBudgetMonotoneSpeedup) {
   const sw::CpuModel base = sw::reference_cpu();
   double prev_speedup = 0.99;
   for (const double budget : {0.0, 300.0, 1000.0, 2500.0, 5000.0}) {
-    const AsipDesign d = synthesize_asip(apps_set, base, budget);
+    const AsipDesign d = asip_for(apps_set, base, budget);
     EXPECT_LE(d.area_used, budget + 1e-9);
     EXPECT_GE(d.speedup(), prev_speedup - 1e-9)
         << "budget " << budget;
@@ -235,8 +247,7 @@ TEST(Asip, PicksFeaturesMatchingHotSpots) {
   std::vector<ir::Cdfg> storage;
   storage.push_back(apps::dct8_kernel());
   std::vector<WeightedKernel> apps_set = {{&storage[0], 1.0, "dct8"}};
-  const AsipDesign d =
-      synthesize_asip(apps_set, sw::reference_cpu(), 950.0);
+  const AsipDesign d = asip_for(apps_set, sw::reference_cpu(), 950.0);
   ASSERT_FALSE(d.features.empty());
   EXPECT_EQ(d.features[0], IsaFeature::kFastMul);
 }
@@ -277,7 +288,7 @@ TEST(Asip, ReconfigurableBeatsStaticUnderTightBudget) {
   };
   const sw::CpuModel base = sw::reference_cpu();
   const double budget = 2000.0;
-  const AsipDesign fixed = synthesize_sfu_static(apps_set, base, budget);
+  const AsipDesign fixed = asip_for(apps_set, base, budget);
   const ReconfigSfuDesign flexible =
       synthesize_sfu_reconfigurable(apps_set, base, budget);
   EXPECT_GT(flexible.speedup(), fixed.speedup());
@@ -291,7 +302,11 @@ TEST(Coproc, StrategiesProduceConsistentDesigns) {
   for (const CoprocStrategy s :
        {CoprocStrategy::kHotSpot, CoprocStrategy::kUnload,
         CoprocStrategy::kKl, CoprocStrategy::kGclp}) {
-    const CoprocDesign d = synthesize_coprocessor(model, obj, s);
+    Request req;
+    req.model = &model;
+    req.objective = obj;
+    req.strategy = s;
+    const CoprocDesign d = *run(Target::kCoprocessor, req).coprocessor;
     EXPECT_EQ(d.partition.mapping.size(), g.num_tasks())
         << coproc_strategy_name(s);
     EXPECT_GT(d.all_sw_latency, 0.0);
@@ -337,8 +352,7 @@ TEST(MtCoproc, ConcurrencyAwareNoWorseThanGreedy) {
 }
 
 
-// -- The cosynth::run(Target, ...) dispatcher: bit-identical to the
-// legacy per-target free functions.
+// -- The cosynth::run(Target, ...) dispatcher.
 
 TEST(RunDispatcher, TargetNamesAreStableAndDistinct) {
   std::set<std::string> names;
@@ -349,156 +363,31 @@ TEST(RunDispatcher, TargetNamesAreStableAndDistinct) {
                "multiproc_periodic");
 }
 
-TEST(RunDispatcher, CoprocessorParity) {
+TEST(RunDispatcher, ResultForwardsToTheEngagedDesign) {
   const ir::TaskGraph g = apps::jpeg_pipeline_graph();
   const partition::CostModel model(g, hw::default_library());
-  Request req;
-  req.model = &model;
-  req.objective.latency_target = g.total_sw_cycles() * 0.5;
-  req.strategy = CoprocStrategy::kKl;
-  const Result r = run(Target::kCoprocessor, req);
-  const CoprocDesign legacy =
-      synthesize_coprocessor(model, req.objective, req.strategy);
+  Request coproc;
+  coproc.model = &model;
+  coproc.objective.latency_target = g.total_sw_cycles() * 0.5;
+  const Result r = run(Target::kCoprocessor, coproc);
   ASSERT_TRUE(r.coprocessor.has_value());
-  EXPECT_EQ(r.coprocessor->partition.mapping, legacy.partition.mapping);
-  EXPECT_EQ(r.coprocessor->partition.algorithm, legacy.partition.algorithm);
-  EXPECT_EQ(r.coprocessor->partition.evaluations,
-            legacy.partition.evaluations);
-  EXPECT_DOUBLE_EQ(r.coprocessor->all_sw_latency, legacy.all_sw_latency);
-  EXPECT_DOUBLE_EQ(r.latency(), legacy.latency());
-  EXPECT_DOUBLE_EQ(r.area(), legacy.area());
-  EXPECT_EQ(r.summary(), legacy.summary());
-}
+  EXPECT_FALSE(r.impl_select.has_value());
+  EXPECT_EQ(r.latency(), r.coprocessor->latency());
+  EXPECT_EQ(r.area(), r.coprocessor->area());
+  EXPECT_EQ(r.summary(), r.coprocessor->summary());
 
-TEST(RunDispatcher, AsipParity) {
-  std::vector<ir::Cdfg> storage;
-  storage.push_back(apps::dct8_kernel());
-  storage.push_back(apps::xtea_kernel(8));
-  Request req;
-  req.apps = {{&storage[0], 1.0, "dct8"}, {&storage[1], 2.0, "xtea8"}};
-  req.cpu = sw::reference_cpu();
-  req.area_budget = 2500.0;
-  const Result r = run(Target::kAsip, req);
-  const AsipDesign legacy =
-      synthesize_asip(req.apps, req.cpu, req.area_budget);
-  ASSERT_TRUE(r.asip.has_value());
-  EXPECT_EQ(r.asip->features, legacy.features);
-  EXPECT_DOUBLE_EQ(r.asip->area_used, legacy.area_used);
-  EXPECT_DOUBLE_EQ(r.asip->base_cycles, legacy.base_cycles);
-  EXPECT_DOUBLE_EQ(r.asip->asip_cycles, legacy.asip_cycles);
-  EXPECT_DOUBLE_EQ(r.latency(), legacy.latency());
-  EXPECT_EQ(r.summary(), legacy.summary());
-}
-
-TEST(RunDispatcher, MixedParity) {
-  const ir::TaskGraph g = small_graph(21, 6);
-  const std::vector<const ir::Cdfg*> kernels(g.num_tasks(), nullptr);
-  Request req;
-  req.graph = &g;
-  req.kernels = &kernels;
-  req.cpu = sw::reference_cpu();
-  req.library = hw::default_library();
-  req.area_budget = 2000.0;
-  const Result r = run(Target::kMixed, req);
-  const MixedDesign legacy =
-      synthesize_mixed(g, kernels, req.cpu, req.library, req.area_budget,
-                       req.comm);
-  ASSERT_TRUE(r.mixed.has_value());
-  EXPECT_EQ(r.mixed->features, legacy.features);
-  EXPECT_EQ(r.mixed->mapping, legacy.mapping);
-  EXPECT_DOUBLE_EQ(r.mixed->latency_cycles, legacy.latency_cycles);
-  EXPECT_DOUBLE_EQ(r.mixed->isa_area, legacy.isa_area);
-  EXPECT_DOUBLE_EQ(r.mixed->coproc_area, legacy.coproc_area);
-  EXPECT_EQ(r.mixed->feature_subsets_tried, legacy.feature_subsets_tried);
-  EXPECT_EQ(r.mixed->partition_evaluations, legacy.partition_evaluations);
-  EXPECT_DOUBLE_EQ(r.area(), legacy.area());
-  EXPECT_EQ(r.summary(), legacy.summary());
-}
-
-TEST(RunDispatcher, InterfaceParity) {
-  const ir::Cdfg kernel = apps::fir_kernel(6);
-  hw::HlsConstraints constraints;
-  constraints.goal = hw::HlsGoal::kMinArea;
-  // impl's Schedule points into the library; keep it alive past the run.
-  const hw::ComponentLibrary library = hw::default_library();
-  const hw::HlsResult impl = hw::synthesize(kernel, library, constraints);
-  Rng rng(17);
-  std::vector<std::vector<std::int64_t>> samples;
-  for (int s = 0; s < 6; ++s) {
-    std::vector<std::int64_t> in;
-    for (std::size_t k = 0; k < kernel.inputs().size(); ++k) {
-      in.push_back(rng.uniform_int(-100, 100));
-    }
-    samples.push_back(in);
-  }
-  Request req;
-  req.impl = &impl;
-  req.samples = &samples;
-  // Fresh allocators starting at the same base keep the address maps
-  // comparable.
-  AddressMapAllocator alloc_run;
-  AddressMapAllocator alloc_legacy;
-  req.allocator = &alloc_run;
-  const Result r = run(Target::kInterface, req);
-  const InterfaceDesign legacy = synthesize_interface(
-      impl, req.interface_reqs, samples, alloc_legacy);
-  ASSERT_TRUE(r.iface.has_value());
-  EXPECT_EQ(r.iface->base_address, legacy.base_address);
-  EXPECT_EQ(r.iface->selected, legacy.selected);
-  ASSERT_EQ(r.iface->candidates.size(), legacy.candidates.size());
-  for (std::size_t i = 0; i < legacy.candidates.size(); ++i) {
-    EXPECT_EQ(r.iface->candidates[i].use_irq, legacy.candidates[i].use_irq);
-    EXPECT_DOUBLE_EQ(r.iface->candidates[i].score,
-                     legacy.candidates[i].score);
-    EXPECT_EQ(r.iface->candidates[i].report.checksum,
-              legacy.candidates[i].report.checksum);
-  }
-  EXPECT_EQ(r.iface->driver.code.size(), legacy.driver.code.size());
-  EXPECT_DOUBLE_EQ(r.latency(), legacy.latency());
-  EXPECT_EQ(r.summary(), legacy.summary());
-}
-
-TEST(RunDispatcher, ImplSelectParity) {
-  Request req;
-  req.menus = {
+  Request select;
+  select.menus = {
       {"fir", 2.0, {{"min_area", 100.0, 900.0}, {"fast", 400.0, 300.0}}},
       {"dct", 1.0, {{"min_area", 250.0, 1200.0}, {"fast", 700.0, 500.0}}},
   };
-  req.area_budget = 900.0;
-  const Result r = run(Target::kImplSelect, req);
-  const ImplSelection legacy =
-      select_implementations(req.menus, req.area_budget);
-  ASSERT_TRUE(r.impl_select.has_value());
-  EXPECT_EQ(r.impl_select->chosen, legacy.chosen);
-  EXPECT_DOUBLE_EQ(r.impl_select->total_area, legacy.total_area);
-  EXPECT_DOUBLE_EQ(r.impl_select->total_weighted_cycles,
-                   legacy.total_weighted_cycles);
-  EXPECT_EQ(r.impl_select->explored, legacy.explored);
-  EXPECT_EQ(r.impl_select->feasible, legacy.feasible);
-  EXPECT_DOUBLE_EQ(r.latency(), legacy.latency());
-  EXPECT_EQ(r.summary(), legacy.summary());
-}
-
-TEST(RunDispatcher, MultiprocPeriodicParity) {
-  ir::TaskGraph g = small_graph(22, 8);
-  Rng rng(23);
-  for (const ir::TaskId t : g.task_ids()) {
-    g.task(t).period = g.task(t).costs.sw_cycles * rng.uniform(4.0, 20.0);
-  }
-  Request req;
-  req.graph = &g;  // empty catalog: dispatcher supplies the default
-  const Result r = run(Target::kMultiprocPeriodic, req);
-  const MpDesign legacy = synthesize_periodic(g, default_pe_catalog());
-  ASSERT_TRUE(r.multiproc.has_value());
-  EXPECT_EQ(r.multiproc->instance_type, legacy.instance_type);
-  EXPECT_EQ(r.multiproc->assignment, legacy.assignment);
-  EXPECT_DOUBLE_EQ(r.multiproc->cost, legacy.cost);
-  EXPECT_DOUBLE_EQ(r.multiproc->makespan, legacy.makespan);
-  EXPECT_EQ(r.multiproc->feasible, legacy.feasible);
-  EXPECT_EQ(r.multiproc->effort, legacy.effort);
-  EXPECT_DOUBLE_EQ(r.latency(), legacy.latency());
-  EXPECT_DOUBLE_EQ(r.area(), legacy.area());
-  EXPECT_EQ(r.summary(), legacy.summary());
+  select.area_budget = 900.0;
+  const Result s = run(Target::kImplSelect, select);
+  ASSERT_TRUE(s.impl_select.has_value());
+  EXPECT_FALSE(s.coprocessor.has_value());
+  EXPECT_EQ(s.latency(), s.impl_select->latency());
+  EXPECT_EQ(s.area(), s.impl_select->area());
+  EXPECT_EQ(s.summary(), s.impl_select->summary());
 }
 
 TEST(RunDispatcher, MissingRequiredInputsAreChecked) {

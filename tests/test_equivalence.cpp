@@ -2,9 +2,9 @@
 // hw::RtlSim (the cycle-accurate RTL-level interpreter),
 // hw::check_equivalence / hw::verify_synthesis (the differential
 // checkers), the PR-9 narrowing end-to-end differential (narrowed and
-// word-wide syntheses must be bit-identical under RtlSim, not just
-// under simulate_datapath checksums), and the round-trip between the
-// emitted Verilog text and the structures RtlSim executes.
+// word-wide syntheses must be bit-identical under RtlSim), and the
+// round-trip between the emitted Verilog text and the structures RtlSim
+// executes.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -134,7 +134,7 @@ TEST(RtlSim, CountsFuFiresAndRegisterWrites) {
 TEST(RtlSim, RejectsATamperedBinding) {
   // Cross-validation: dropping a register allocation the controller's
   // load bits still reflect must be caught at construction, before any
-  // vector runs — this is the structural power simulate_datapath lacks.
+  // vector runs — this is the structural power Cdfg::evaluate lacks.
   const ir::Cdfg k = apps::fir_kernel(4);
   HlsResult impl = synth(k, HlsGoal::kMinArea);
   std::size_t victim = kNone;

@@ -149,24 +149,11 @@ TEST(ConcurrentCache, ConcurrentHammerStaysConsistent) {
   EXPECT_EQ(cache.hits() + cache.misses(), 512u);
 }
 
-TEST(PartitionRun, DispatcherMatchesWrappers) {
+TEST(PartitionRun, EveryStrategyReportsItsNameAndAFullMapping) {
   const ir::TaskGraph g = make_graph();
   const partition::CostModel model(g, hw::default_library());
   partition::Objective obj;
   obj.latency_target = 0.5 * g.total_sw_cycles();
-
-  const partition::PartitionResult via_run =
-      partition::run(partition::Strategy::kHotSpot, model, obj);
-  // Parity coverage of the deprecated wrapper spelling on purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const partition::PartitionResult via_wrapper =
-      partition::partition_hot_spot(model, obj);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(via_run.algorithm, "hot_spot");
-  EXPECT_EQ(via_run.mapping, via_wrapper.mapping);
-  EXPECT_EQ(via_run.metrics.energy, via_wrapper.metrics.energy);
-  EXPECT_EQ(via_run.evaluations, via_wrapper.evaluations);
 
   for (const partition::Strategy s : partition::kAllStrategies) {
     const partition::PartitionResult r = partition::run(s, model, obj);
@@ -301,25 +288,20 @@ TEST(Explorer, KernelEstimatesSharedAcrossConfigVariants) {
             report.points[1].partition.metrics.latency_cycles);
 }
 
-TEST(Explorer, ParetoIndicesMinimizeAllThreeObjectives) {
-  const auto mk = [](double latency, double area, std::size_t evals) {
-    PointResult p;
-    p.partition.metrics.latency_cycles = latency;
-    p.partition.metrics.hw_area = area;
-    p.partition.evaluations = evals;
-    return p;
-  };
-  std::vector<PointResult> pts = {
-      mk(100, 10, 5),   // 0: optimal corner
-      mk(100, 10, 9),   // 1: dominated by 0 (more evals)
-      mk(50, 20, 9),    // 2: non-dominated (best latency)
-      mk(200, 5, 9),    // 3: non-dominated (best area)
-      mk(200, 20, 20),  // 4: dominated by everything
-  };
-  EXPECT_EQ(pareto_indices(pts), (std::vector<std::size_t>{0, 2, 3}));
-  // Failed points never reach the frontier.
-  pts[2].error = "boom";
-  EXPECT_EQ(pareto_indices(pts), (std::vector<std::size_t>{0, 3}));
+TEST(Explorer, RepeatedPointsKeepOnlyTheFirstOnTheFrontier) {
+  const ir::TaskGraph g = make_graph();
+  Explorer explorer(g, Explorer::Options{});
+  DesignPoint point;
+  point.strategy = partition::Strategy::kGclp;
+  point.objective = make_objectives(g)[0];
+  const ExploreReport report =
+      explorer.explore({FlowConfig::defaults()}, {point, point});
+  ASSERT_EQ(report.points.size(), 2u);
+  EXPECT_EQ(report.points[0].partition.metrics.latency_cycles,
+            report.points[1].partition.metrics.latency_cycles);
+  EXPECT_EQ(report.frontier, std::vector<std::size_t>{0});
+  EXPECT_TRUE(report.points[0].on_frontier);
+  EXPECT_FALSE(report.points[1].on_frontier);
 }
 
 }  // namespace

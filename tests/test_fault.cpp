@@ -616,6 +616,25 @@ TEST(FaultCosim, FaultFreeRunsMatchPrePrBaseline) {
   }
 }
 
+TEST(FaultCosim, LargeSampleCountsMatchTheReferenceAtEveryLevel) {
+  // Past 64 samples, 8 inputs per sample outgrow the driver's default
+  // 512-word input buffer; every level must still read each sample's own
+  // inputs and keep its outputs clear of the MMIO windows.
+  const ir::Cdfg kernel = apps::dct8_kernel();
+  ASSERT_EQ(kernel.inputs().size(), 8u);
+  const hw::HlsResult impl = make_impl(kernel);
+  for (const std::size_t n : {65u, 256u, 1024u, 4096u}) {
+    const auto samples = random_samples(kernel, n, 3);
+    const std::int64_t want = reference_checksum(kernel, samples);
+    for (const InterfaceLevel level : kAllInterfaceLevels) {
+      CosimConfig cfg;
+      cfg.level = level;
+      EXPECT_EQ(accel_cosim(impl, cfg, samples).checksum, want)
+          << interface_level_name(level) << " at " << n << " samples";
+    }
+  }
+}
+
 // --------------------------------------------------- determinism under load
 
 fault::FaultPlan mixed_plan() {

@@ -8,6 +8,7 @@
 #include "hw/estimate.h"
 #include "hw/fsm.h"
 #include "hw/hls.h"
+#include "hw/rtl_sim.h"
 #include "hw/schedule.h"
 
 namespace mhs::hw {
@@ -274,11 +275,9 @@ TEST(Hls, DatapathSimulationMatchesEvaluator) {
       for (const ir::OpId id : c.inputs()) {
         in[c.op(id).name] = rng.uniform_int(-1000, 1000);
       }
-      std::size_t cycles = 0;
-      const auto hw_out = simulate_datapath(impl, in, &cycles);
-      const auto ref_out = c.evaluate(in);
-      EXPECT_EQ(hw_out, ref_out) << c.name();
-      EXPECT_EQ(cycles, impl.latency);
+      const RtlTrace trace = RtlSim(impl).run(in);
+      EXPECT_EQ(trace.outputs, c.evaluate(in)) << c.name();
+      EXPECT_EQ(trace.cycles, impl.latency);
     }
   }
 }
@@ -364,7 +363,7 @@ TEST_P(HlsKernelParam, FirFamilyFunctionalAcrossSizesAndGoals) {
   for (const ir::OpId id : c.inputs()) {
     in[c.op(id).name] = static_cast<std::int64_t>(id.value()) << 16;
   }
-  EXPECT_EQ(simulate_datapath(impl, in), c.evaluate(in));
+  EXPECT_EQ(RtlSim(impl).run(in).outputs, c.evaluate(in));
   EXPECT_GE(impl.latency, 1u);
 }
 

@@ -11,6 +11,7 @@
 #include "cosynth/mtcoproc.h"
 #include "cosynth/multiproc.h"
 #include "cosynth/run.h"
+#include "hw/rtl_sim.h"
 #include "ir/task_graph_gen.h"
 #include "opt/pareto.h"
 #include "partition/algorithms.h"
@@ -60,7 +61,7 @@ TEST(Integration, OneSpecThreeImplementationsAgree) {
     hw::HlsConstraints constraints;
     constraints.goal = hw::HlsGoal::kMinArea;
     const hw::HlsResult impl = hw::synthesize(kernel, lib, constraints);
-    EXPECT_EQ(hw::simulate_datapath(impl, in), reference)
+    EXPECT_EQ(hw::RtlSim(impl).run(in).outputs, reference)
         << kernel.name() << " (hw)";
   }
 }
@@ -224,15 +225,15 @@ TEST(Integration, TypeIiTradeoffSpaceRicherThanTypeI) {
 
   // Type I points: all-software on each catalog processor (the boundary
   // is fixed; only the component choice varies).
-  std::vector<opt::DesignPoint> type1;
+  std::vector<std::vector<double>> type1;
   for (const sw::CpuModel& cpu : sw::processor_catalog()) {
     const double latency = g.total_sw_cycles() * cpu.clock_scale;
-    type1.push_back({cpu.cost, latency, type1.size()});
+    type1.push_back({cpu.cost, latency});
   }
 
   // Type II points: partitions at varying area budgets on the reference
   // CPU (the boundary moves).
-  std::vector<opt::DesignPoint> type2;
+  std::vector<std::vector<double>> type2;
   const double all_sw_latency = g.total_sw_cycles();
   const double ref_cost = 1000.0;
   for (const double budget : {0.0, 1500.0, 3000.0, 6000.0, 12000.0}) {
@@ -244,16 +245,14 @@ TEST(Integration, TypeIiTradeoffSpaceRicherThanTypeI) {
         budget == 0.0 ? partition::Strategy::kAllSw
                       : partition::Strategy::kKl,
         model, budgeted);
-    type2.push_back(
-        {ref_cost + r.metrics.hw_area, r.metrics.latency_cycles,
-         type2.size()});
+    type2.push_back({ref_cost + r.metrics.hw_area, r.metrics.latency_cycles});
   }
 
   const double ref1 = 40000.0, ref2 = 4.0 * all_sw_latency;
-  const double hv1 = opt::hypervolume(opt::pareto_front(type1), ref1, ref2);
-  const double hv2 = opt::hypervolume(opt::pareto_front(type2), ref1, ref2);
+  const double hv1 = opt::hypervolume(type1, ref1, ref2);
+  const double hv2 = opt::hypervolume(type2, ref1, ref2);
   EXPECT_GT(hv2, hv1 * 0.5);  // comparable at worst...
-  EXPECT_GE(opt::pareto_front(type2).size(), 3u);  // ...and richer in points
+  EXPECT_GE(opt::pareto(type2).size(), 3u);  // ...and richer in points
 }
 
 }  // namespace

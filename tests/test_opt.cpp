@@ -146,30 +146,44 @@ TEST(Knapsack, EmptyAndZeroCapacity) {
   EXPECT_TRUE(solve_knapsack(items, 0.0).chosen_keys.empty());
 }
 
-TEST(Pareto, DominanceAndFront) {
-  const DesignPoint a{1.0, 5.0, 0};
-  const DesignPoint b{2.0, 4.0, 1};
-  const DesignPoint c{2.0, 6.0, 2};  // dominated by a? no (obj1). by b: yes
-  EXPECT_TRUE(dominates(b, c));
-  EXPECT_FALSE(dominates(a, b));
-  const auto front = pareto_front({a, b, c});
-  ASSERT_EQ(front.size(), 2u);
-  EXPECT_EQ(front[0].key, 0u);
-  EXPECT_EQ(front[1].key, 1u);
+TEST(Pareto, KeepsNonDominatedIndicesAscending) {
+  // (latency, area, evaluations), all minimized.
+  const std::vector<std::vector<double>> points = {
+      {100, 10, 5},   // 0: optimal corner
+      {100, 10, 9},   // 1: dominated by 0 (more evaluations)
+      {50, 20, 9},    // 2: best latency
+      {200, 5, 9},    // 3: best area
+      {200, 20, 20},  // 4: dominated by everything
+  };
+  EXPECT_EQ(pareto(points), (std::vector<std::size_t>{0, 2, 3}));
+}
+
+TEST(Pareto, ExactDuplicatesKeepTheLowestIndex) {
+  const std::vector<std::vector<double>> points = {
+      {3.0, 1.0}, {1.0, 2.0}, {3.0, 1.0}, {1.0, 2.0}, {1.0, 2.0}};
+  EXPECT_EQ(pareto(points), (std::vector<std::size_t>{0, 1}));
+  // Comparisons are exact: a point better by one ulp is not a tie.
+  const double a = 2.0;
+  const double b = std::nextafter(a, 0.0);
+  EXPECT_EQ(pareto({{1.0, a}, {1.0, b}}), (std::vector<std::size_t>{1}));
+}
+
+TEST(Pareto, EmptyInputAndMismatchedArity) {
+  EXPECT_TRUE(pareto({}).empty());
+  EXPECT_THROW(pareto({{1.0, 2.0}, {1.0}}), PreconditionError);
 }
 
 TEST(Pareto, HypervolumeGrowsWithRicherFront) {
-  const std::vector<DesignPoint> sparse = {{1.0, 9.0, 0}, {9.0, 1.0, 1}};
-  std::vector<DesignPoint> rich = sparse;
-  rich.push_back({3.0, 3.0, 2});  // fills the middle
-  const double hv_sparse = hypervolume(sparse, 10.0, 10.0);
-  const double hv_rich = hypervolume(rich, 10.0, 10.0);
-  EXPECT_GT(hv_rich, hv_sparse);
+  const std::vector<std::vector<double>> sparse = {{1.0, 9.0}, {9.0, 1.0}};
+  std::vector<std::vector<double>> rich = sparse;
+  rich.push_back({3.0, 3.0});  // fills the middle
+  EXPECT_DOUBLE_EQ(hypervolume(sparse, 10.0, 10.0), 17.0);  // 1x9 + 8x1
+  EXPECT_GT(hypervolume(rich, 10.0, 10.0), hypervolume(sparse, 10.0, 10.0));
 }
 
-TEST(Pareto, HypervolumeRequiresBoundingReference) {
-  const std::vector<DesignPoint> front = {{5.0, 5.0, 0}};
-  EXPECT_THROW(hypervolume(front, 1.0, 1.0), PreconditionError);
+TEST(Pareto, HypervolumeRequiresBoundingReferenceAndTwoObjectives) {
+  EXPECT_THROW(hypervolume({{5.0, 5.0}}, 1.0, 1.0), PreconditionError);
+  EXPECT_THROW(hypervolume({{1.0, 1.0, 1.0}}, 9.0, 9.0), PreconditionError);
 }
 
 }  // namespace

@@ -3,13 +3,15 @@
 // reproducible test case.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "apps/kernels.h"
 #include "apps/workloads.h"
 #include "base/rng.h"
 #include "base/stats.h"
 #include "hw/binding.h"
 #include "hw/estimate.h"
-#include "hw/hls.h"
+#include "hw/rtl_sim.h"
 #include "ir/task_graph_algos.h"
 #include "ir/task_graph_gen.h"
 #include "opt/knapsack.h"
@@ -67,6 +69,7 @@ TEST_P(Seeded, ImplementationEquivalence) {
   constraints.goal =
       rng.bernoulli(0.5) ? hw::HlsGoal::kMinArea : hw::HlsGoal::kMinLatency;
   const hw::HlsResult impl = hw::synthesize(kernel, lib, constraints);
+  const hw::RtlSim rtl(impl);
 
   for (int trial = 0; trial < 4; ++trial) {
     std::map<std::string, std::int64_t> in;
@@ -76,7 +79,7 @@ TEST_P(Seeded, ImplementationEquivalence) {
     const auto reference = kernel.evaluate(in);
     sw::Iss iss;
     EXPECT_EQ(sw::run_program(iss, program, in), reference);
-    EXPECT_EQ(hw::simulate_datapath(impl, in), reference);
+    EXPECT_EQ(rtl.run(in).outputs, reference);
   }
 }
 
@@ -239,31 +242,40 @@ TEST_P(Seeded, OsCosimTokenConservation) {
   EXPECT_GE(r.comm_cycles, r.cross_comm_cycles);
 }
 
-// Property: Pareto front of any point set is mutually non-dominating and
-// dominates or ties every input point.
+// Property: the Pareto front of any point set is mutually non-dominating,
+// and every input point is dominated by or equal to a front point.
 TEST_P(Seeded, ParetoFrontCorrectness) {
   Rng rng(GetParam() + 6000);
-  std::vector<opt::DesignPoint> points;
+  std::vector<std::vector<double>> points;
   for (std::size_t i = 0; i < 40; ++i) {
-    points.push_back(
-        {rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0), i});
+    // Coarse values, so exact ties and duplicates actually occur.
+    points.push_back({std::round(rng.uniform(0.0, 20.0)),
+                      std::round(rng.uniform(0.0, 20.0)),
+                      std::round(rng.uniform(0.0, 3.0))});
   }
-  const auto front = opt::pareto_front(points);
+  const auto no_worse = [](const std::vector<double>& a,
+                           const std::vector<double>& b) {
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      if (a[k] > b[k]) return false;
+    }
+    return true;
+  };
+  const std::vector<std::size_t> front = opt::pareto(points);
   ASSERT_FALSE(front.empty());
-  for (std::size_t i = 0; i < front.size(); ++i) {
-    for (std::size_t j = 0; j < front.size(); ++j) {
-      if (i == j) continue;
-      EXPECT_FALSE(opt::dominates(front[i], front[j]));
+  for (std::size_t i = 1; i < front.size(); ++i) {
+    EXPECT_LT(front[i - 1], front[i]);
+  }
+  for (const std::size_t f : front) {
+    for (const std::size_t g : front) {
+      if (f != g) {
+        EXPECT_FALSE(no_worse(points[f], points[g]));
+      }
     }
   }
-  for (const opt::DesignPoint& p : points) {
+  for (const std::vector<double>& p : points) {
     bool covered = false;
-    for (const opt::DesignPoint& f : front) {
-      if (opt::dominates(f, p) ||
-          (f.objective1 == p.objective1 && f.objective2 == p.objective2)) {
-        covered = true;
-        break;
-      }
+    for (const std::size_t f : front) {
+      covered = covered || no_worse(points[f], p);
     }
     EXPECT_TRUE(covered);
   }

@@ -214,7 +214,7 @@ TEST(ServeDispatch, CosimMatchesDirectLibraryCall) {
   const ir::Cdfg kernel = apps::fir_kernel(8);
   hw::HlsConstraints constraints;
   constraints.goal = hw::HlsGoal::kMinArea;
-  // impl's Schedule points into the library; keep it alive past run_cosim.
+  // impl's Schedule points into the library; keep it alive past sim::run.
   const hw::ComponentLibrary library = hw::default_library();
   const hw::HlsResult impl = hw::synthesize(kernel, library, constraints);
   Rng rng(11);

@@ -1,21 +1,12 @@
-// Old-vs-new API parity for the sim::run seam.
-//
-// This is the designated legacy-parity suite: the deprecated entry
-// points (run_cosim, run_message_cosim, run_system_cosim) are called
-// directly — under a scoped deprecation suppression — and their results
-// compared bit-for-bit against sim::run with the same inputs, across
-// every interface level, with and without a seeded fault plan, and under
-// 1/2/4/8-thread batches. Everything else in the tree must go through
-// sim::run; this file is where the old and new APIs are pinned equal.
+// The sim::run seam: thread-count determinism of the accelerator level,
+// level names, and the required-input checks.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "apps/kernels.h"
-#include "apps/workloads.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
-#include "ir/process_network.h"
 #include "sim/run.h"
 
 namespace mhs::sim {
@@ -64,116 +55,7 @@ void expect_identical(const CosimReport& a, const CosimReport& b) {
   EXPECT_EQ(a.resilience, b.resilience);
 }
 
-// This suite is the sanctioned direct consumer of the deprecated entry
-// points: parity needs both sides of the seam. The suppression is scoped
-// to this file on purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(SimRunParity, AcceleratorMatchesLegacyAtEveryInterfaceLevel) {
-  const ir::Cdfg kernel = apps::fir_kernel(6);
-  const hw::HlsResult impl = make_impl(kernel);
-  const auto samples = random_samples(kernel, 12, 7);
-  for (const InterfaceLevel level : kAllInterfaceLevels) {
-    for (const bool use_irq : {false, true}) {
-      if (use_irq && level != InterfaceLevel::kPin &&
-          level != InterfaceLevel::kRegister) {
-        continue;  // irq drivers exist only at the ISS levels
-      }
-      CosimConfig cfg;
-      cfg.level = level;
-      cfg.use_irq = use_irq;
-      cfg.background_unroll = use_irq ? 2 : 0;
-      const CosimReport legacy = run_cosim(impl, cfg, samples);
-      SimRequest req;
-      req.impl = &impl;
-      req.samples = &samples;
-      req.cosim = cfg;
-      const SimResult result = run(req);
-      ASSERT_TRUE(result.cosim.has_value());
-      EXPECT_FALSE(result.os.has_value());
-      EXPECT_FALSE(result.system.has_value());
-      expect_identical(*result.cosim, legacy);
-      EXPECT_EQ(result.total_cycles(), legacy.total_cycles);
-      EXPECT_EQ(result.sim_events(), legacy.sim_events);
-      EXPECT_NE(result.summary().find(interface_level_name(level)),
-                std::string::npos);
-    }
-  }
-}
-
-TEST(SimRunParity, AcceleratorMatchesLegacyUnderASeededFaultPlan) {
-  const ir::Cdfg kernel = apps::fir_kernel(4);
-  const hw::HlsResult impl = make_impl(kernel);
-  const auto samples = random_samples(kernel, 8, 21);
-  for (const InterfaceLevel level : kAllInterfaceLevels) {
-    CosimConfig cfg;
-    cfg.level = level;
-    cfg.fault_plan.add(fault::FaultSpec::peripheral_stall(0.5, 80))
-        .add(fault::FaultSpec::bus_bit_flip(0.05))
-        .add(fault::FaultSpec::peripheral_hang(0.05));
-    cfg.fault_seed = 77;
-    const CosimReport legacy = run_cosim(impl, cfg, samples);
-    EXPECT_GT(legacy.resilience.injected, 0u);
-    SimRequest req;
-    req.impl = &impl;
-    req.samples = &samples;
-    req.cosim = cfg;
-    const SimResult result = run(req);
-    ASSERT_TRUE(result.cosim.has_value());
-    expect_identical(*result.cosim, legacy);
-  }
-}
-
-TEST(SimRunParity, ProcessLevelMatchesLegacy) {
-  const ir::ProcessNetwork net = apps::packet_pipeline_network();
-  std::vector<bool> in_hw(net.num_processes(), false);
-  in_hw[1] = true;
-  OsCosimConfig cfg;
-  cfg.iterations = 32;
-  const OsCosimResult legacy = run_message_cosim(net, in_hw, cfg);
-  SimRequest req;
-  req.level = Level::kProcess;
-  req.network = &net;
-  req.in_hw = &in_hw;
-  req.os = cfg;
-  const SimResult result = run(req);
-  ASSERT_TRUE(result.os.has_value());
-  EXPECT_EQ(result.os->makespan, legacy.makespan);
-  EXPECT_EQ(result.os->sim_events, legacy.sim_events);
-  EXPECT_EQ(result.os->cpu_busy_cycles, legacy.cpu_busy_cycles);
-  EXPECT_EQ(result.os->hw_busy_cycles, legacy.hw_busy_cycles);
-  EXPECT_EQ(result.os->comm_cycles, legacy.comm_cycles);
-  EXPECT_EQ(result.os->cross_comm_cycles, legacy.cross_comm_cycles);
-  EXPECT_EQ(result.os->channel_messages, legacy.channel_messages);
-  EXPECT_EQ(result.os->deadlocked, legacy.deadlocked);
-  EXPECT_EQ(result.total_cycles(), legacy.makespan);
-  EXPECT_EQ(result.sim_events(), legacy.sim_events);
-}
-
-TEST(SimRunParity, SystemLevelMatchesLegacy) {
-  apps::KernelBackedWorkload w = apps::dsp_chain_workload();
-  partition::Mapping mapping(w.graph.num_tasks(), false);
-  for (std::size_t i = 0; i < mapping.size(); i += 2) mapping[i] = true;
-  const SystemCosimConfig cfg;
-  const SystemCosimResult legacy = run_system_cosim(w.graph, mapping, cfg);
-  SimRequest req;
-  req.level = Level::kSystem;
-  req.graph = &w.graph;
-  req.mapping = &mapping;
-  req.system = cfg;
-  const SimResult result = run(req);
-  ASSERT_TRUE(result.system.has_value());
-  EXPECT_EQ(result.system->makespan, legacy.makespan);
-  EXPECT_EQ(result.system->start, legacy.start);
-  EXPECT_EQ(result.system->finish, legacy.finish);
-  EXPECT_EQ(result.system->cpu_busy, legacy.cpu_busy);
-  EXPECT_EQ(result.system->bus_busy, legacy.bus_busy);
-  EXPECT_EQ(result.system->bus_wait, legacy.bus_wait);
-  EXPECT_EQ(result.system->sim_events, legacy.sim_events);
-}
-
-TEST(SimRunParity, ThreadCountDoesNotChangeResults) {
+TEST(SimRunApi, ThreadCountDoesNotChangeResults) {
   // The seam must be as thread-agnostic as the engines under it: a batch
   // of runs spread over 1/2/4/8 worker threads produces bit-identical
   // reports in every slot, fault plan included.
@@ -207,8 +89,6 @@ TEST(SimRunParity, ThreadCountDoesNotChangeResults) {
     }
   }
 }
-
-#pragma GCC diagnostic pop
 
 TEST(SimRunApi, LevelNamesRoundTripAndRejectUnknown) {
   for (const Level level : kAllLevels) {

@@ -4,7 +4,7 @@
 
 #include "apps/kernels.h"
 #include "base/rng.h"
-#include "hw/hls.h"
+#include "hw/rtl_sim.h"
 #include "sim/bus.h"
 #include "sim/vcd.h"
 #include "sw/iss.h"
@@ -161,7 +161,7 @@ TEST(NewKernels, AllThreeImplementationsAgree) {
     hw::HlsConstraints constraints;
     constraints.goal = hw::HlsGoal::kMinArea;
     const hw::HlsResult impl = hw::synthesize(kernel, lib, constraints);
-    EXPECT_EQ(hw::simulate_datapath(impl, in), reference)
+    EXPECT_EQ(hw::RtlSim(impl).run(in).outputs, reference)
         << kernel.name() << " (hw)";
   }
 }
