@@ -6,8 +6,16 @@
 //    true latency on traffic-heavy workloads;
 //  * ignoring concurrency misprices hardware on parallel workloads;
 //  * ignoring modifiability freezes change-prone functions in hardware.
+//
+// It also times the cost model every search scores its moves with:
+// partition.evaluations_per_s is the median evaluation rate over
+// repeated passes of the search strategies, gated by the tier-2
+// bench_partition_gate against
+// bench/baselines/bench_factors_ablation_baseline.json.
 #include <iostream>
+#include <vector>
 
+#include "base/stats.h"
 #include "bench_util.h"
 #include "ir/task_graph_gen.h"
 #include "partition/algorithms.h"
@@ -15,9 +23,45 @@
 namespace mhs {
 namespace {
 
+/// Median cost-model evaluations per wall second: one warm-up pass, then
+/// kPasses timed passes, each running annealed, KL, hot-spot and unload
+/// on a seeded 32-task layered graph over an uncached model.
+double evaluations_per_s() {
+  constexpr int kPasses = 15;
+  Rng rng(32);
+  ir::TaskGraphGenConfig gen;
+  gen.num_tasks = 32;
+  const ir::TaskGraph g = ir::generate_task_graph(gen, rng);
+  const partition::CostModel model(g, hw::default_library());
+  partition::Objective objective;
+  objective.area_weight = 0.02;
+  objective.latency_target = 0.5 * g.total_sw_cycles();
+  std::vector<double> rates;
+  for (int pass = 0; pass <= kPasses; ++pass) {
+    const obs::Stopwatch watch;
+    std::size_t evaluations = 0;
+    for (const partition::Strategy s :
+         {partition::Strategy::kAnnealed, partition::Strategy::kKl,
+          partition::Strategy::kHotSpot, partition::Strategy::kUnload}) {
+      evaluations += partition::run(s, model, objective).evaluations;
+    }
+    if (pass > 0) {
+      rates.push_back(static_cast<double>(evaluations) /
+                      (watch.elapsed_us() / 1e6));
+    }
+  }
+  return quantile(rates, 0.5);
+}
+
 void run() {
   bench::Reporter rep("bench_factors_ablation",
                       "E10: partitioning-factor ablation (§3.3)");
+
+  const double rate = evaluations_per_s();
+  std::cout << "cost-model evaluations/s (median of passes): "
+            << fmt(rate, 0) << "\n";
+  rep.metric("partition.evaluations_per_s", rate, "evaluations/s",
+             bench::Direction::kHigherIsBetter);
 
   Rng rng(28);
   ir::TaskGraphGenConfig gen;

@@ -30,13 +30,15 @@ file(MAKE_DIRECTORY "${build_dir}")
 # harness at reduced iteration count — random hardware being stepped
 # cycle by cycle is dense in the shifts and wraps UBSan watches), and
 # high-level synthesis (unit suite plus the golden-fingerprint sweep,
-# whose heap- and CSR-indexed schedulers and binders index by op id). A
-# full-tree sanitized build would take far longer on the single-core
-# CI box for little extra coverage.
+# whose heap- and CSR-indexed schedulers and binders index by op id), and
+# HW/SW partitioning (unit suite plus the golden and differential sweep,
+# whose flat cost model indexes CSR successor lists by raw task and edge
+# index out of per-thread scratch). A full-tree sanitized build would
+# take far longer on the single-core CI box for little extra coverage.
 set(suites test_base test_ir test_obs test_analysis test_absint
            absint_fuzz test_lint_cli test_explorer test_fault fault_fuzz
            test_serve serve_traffic test_equivalence test_corpus
-           test_hw test_hls_golden)
+           test_hw test_hls_golden test_partition test_partition_golden)
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} -S "${SOURCE_DIR}" -B "${build_dir}"

@@ -11,7 +11,9 @@
 //   --out FILE       write the aggregate {"benches":[...]} document;
 //   --baseline FILE  compare against an earlier run (a single document
 //                    or an aggregate) and flag direction-aware metric
-//                    regressions past --threshold (default 10%).
+//                    regressions past --threshold (default 10%); a
+//                    `machine differs:` line flags a baseline measured
+//                    on another machine (without changing the exit code).
 //
 // Exit codes: 0 clean, 1 usage or I/O error, 2 schema violation,
 // 3 regression detected.
@@ -138,6 +140,7 @@ int main(int argc, char** argv) {
       std::cerr << "bench_report: " << baseline_path << ": " << error << "\n";
       return kExitSchema;
     }
+    std::cout << machine_note(docs, *baseline);
     const std::string table = comparison_table(docs, *baseline, threshold_pct);
     if (table.empty()) {
       std::cout << "baseline: no matching (bench, metric) pairs\n";

@@ -55,6 +55,17 @@ std::optional<BenchDoc> doc_from_value(const obs::JsonValue& value,
     doc.wall_ms = wall->as_number();
   }
 
+  if (const obs::JsonValue* machine = value.find("machine")) {
+    if (!machine->is_object()) {
+      return fail(doc.name + ": machine is not an object");
+    }
+    doc.machine.emplace();
+    for (const auto& [field, v] : machine->as_object()) {
+      doc.machine->emplace_back(
+          field, v.is_string() ? v.as_string() : obs::json_render(v));
+    }
+  }
+
   const obs::JsonValue* metrics = value.find("metrics");
   if (metrics == nullptr || !metrics->is_array()) {
     return fail(doc.name + ": missing metrics array");
@@ -231,6 +242,47 @@ std::vector<Regression> compare_to_baseline(
     }
   }
   return regressions;
+}
+
+std::string machine_note(const std::vector<BenchDoc>& current,
+                         const std::vector<BenchDoc>& baseline) {
+  using Fields = std::vector<std::pair<std::string, std::string>>;
+  const auto value_of = [](const Fields& fields, const std::string& name) {
+    for (const auto& [field, value] : fields) {
+      if (field == name) return value;
+    }
+    return std::string("-");
+  };
+  std::vector<std::string> diffs;
+  const auto note = [&](const std::string& diff) {
+    if (std::find(diffs.begin(), diffs.end(), diff) == diffs.end()) {
+      diffs.push_back(diff);
+    }
+  };
+  for (const BenchDoc& doc : current) {
+    const BenchDoc* base_doc = find_doc(baseline, doc.name);
+    if (base_doc == nullptr) continue;
+    if (!base_doc->machine.has_value()) {
+      return "machine: baseline has no machine block\n";
+    }
+    const Fields& base = *base_doc->machine;
+    const Fields cur = doc.machine.value_or(Fields{});
+    for (const Fields* side : {&base, &cur}) {
+      for (const auto& field : *side) {
+        const std::string before = value_of(base, field.first);
+        const std::string after = value_of(cur, field.first);
+        if (before != after) {
+          note(field.first + " (baseline " + before + ", run " + after + ")");
+        }
+      }
+    }
+  }
+  if (diffs.empty()) return "";
+  std::string line = "machine differs: ";
+  for (std::size_t i = 0; i < diffs.size(); ++i) {
+    line += (i == 0 ? "" : ", ") + diffs[i];
+  }
+  return line + "\n";
 }
 
 std::string comparison_table(const std::vector<BenchDoc>& current,

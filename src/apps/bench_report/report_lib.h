@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mhs::apps {
@@ -36,6 +37,9 @@ struct BenchDoc {
   double wall_ms = 0.0;
   std::vector<BenchMetric> metrics;
   std::vector<BenchClaim> claims;
+  /// The `machine` block's fields, values as text, in document order;
+  /// nullopt when the document has no machine block.
+  std::optional<std::vector<std::pair<std::string, std::string>>> machine;
   /// The original document text (re-embedded verbatim by aggregate_json,
   /// so aggregation is lossless).
   std::string raw;
@@ -88,6 +92,15 @@ struct Regression {
 std::vector<Regression> compare_to_baseline(
     const std::vector<BenchDoc>& current,
     const std::vector<BenchDoc>& baseline, double threshold_pct);
+
+/// One line flagging that the run's machine differs from the baseline's:
+/// "machine differs: <field> (baseline <b>, run <r>), ..." over every
+/// (bench, baseline) pair matched by name, or "machine: baseline has no
+/// machine block" when a matched baseline lacks one. Empty when the
+/// machines agree or nothing matched. Informational: a mismatch never
+/// counts as a regression.
+std::string machine_note(const std::vector<BenchDoc>& current,
+                         const std::vector<BenchDoc>& baseline);
 
 /// Plain-text rendering of a comparison (all matched metrics, with the
 /// regressions flagged); empty when nothing matched.

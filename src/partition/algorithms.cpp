@@ -129,7 +129,6 @@ static PartitionResult kl_impl(const CostModel& model,
     std::vector<std::size_t> move_seq;
     std::vector<double> energy_seq;
     Mapping work = mapping;
-    double work_energy = current;
 
     // Greedy sequence of best single-task flips with locking.
     for (std::size_t step = 0; step < n; ++step) {
@@ -149,9 +148,8 @@ static PartitionResult kl_impl(const CostModel& model,
       if (best == SIZE_MAX) break;
       work[best] = !work[best];
       locked[best] = true;
-      work_energy = best_energy;
       move_seq.push_back(best);
-      energy_seq.push_back(work_energy);
+      energy_seq.push_back(best_energy);
     }
 
     // Roll back to the best prefix of the move sequence.
@@ -193,10 +191,8 @@ static PartitionResult annealed_impl(const CostModel& model,
                             anneal_config.initial_temperature;
 
   std::size_t last_flip = 0;
-  const double pre_flip_energy = energy;
-  (void)pre_flip_energy;
   double current_energy = energy;
-  const auto stats = opt::anneal(
+  opt::anneal(
       cfg, energy,
       /*propose=*/
       [&](Rng& rng) {
@@ -217,7 +213,6 @@ static PartitionResult annealed_impl(const CostModel& model,
         current_energy = e;
       },
       /*commit_best=*/[&] { best = mapping; });
-  (void)stats;
   return finish("annealed", model, objective, std::move(best), evals);
 }
 

@@ -125,6 +125,15 @@ struct Metrics {
 
 /// The cost model. Holds the component library used for shared-area
 /// estimation and the communication pricing.
+///
+/// The model snapshots the graph at construction: task costs, edge
+/// payloads and the topology are compiled into flat arrays, and every
+/// evaluation reads only those. Mutating the graph afterwards does not
+/// reach a live model; build a new one. graph() still returns the
+/// original graph, for callers that walk its structure.
+///
+/// Evaluation allocates nothing once warm: its scratch is per thread, so
+/// one const model may be shared by any number of threads.
 class CostModel {
  public:
   CostModel(const ir::TaskGraph& graph, hw::ComponentLibrary lib,
@@ -161,12 +170,36 @@ class CostModel {
                                    bool price_communication) const;
   double hardware_area_uncached(const Mapping& mapping) const;
 
+  /// Per-task cost snapshot.
+  struct FlatTask {
+    double sw_cycles = 0.0;
+    double hw_cycles = 0.0;
+    double sw_size = 0.0;
+    double modifiability_cost = 0.0;  ///< modifiability * sw_cycles
+    std::uint32_t num_preds = 0;
+  };
+  /// Per-edge snapshot with both priced delays.
+  struct FlatEdge {
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
+    double cross_delay = 0.0;  ///< one endpoint in HW, the other in SW
+    double hwhw_delay = 0.0;   ///< both endpoints in HW
+  };
+
   const ir::TaskGraph* graph_;
   hw::ComponentLibrary lib_;
   CommModel comm_;
   EvalCache* cache_ = nullptr;
   /// Precomputed per-task hardware profiles for the shared-area estimate.
   std::vector<hw::HwProfile> profiles_;
+  std::vector<FlatTask> tasks_;
+  std::vector<FlatEdge> edges_;  ///< in edge-id order
+  /// The smallest-id-first order of ir::topological_order.
+  std::vector<std::uint32_t> topo_;
+  /// CSR successor lists: the out-edges of task t, in out_edges order,
+  /// are succ_[succ_begin_[t] .. succ_begin_[t + 1]).
+  std::vector<std::uint32_t> succ_begin_;
+  std::vector<std::uint32_t> succ_;
 };
 
 }  // namespace mhs::partition

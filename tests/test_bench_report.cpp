@@ -197,6 +197,51 @@ TEST(BenchReport, AggregateRoundTripsAsBaseline) {
   EXPECT_TRUE(none->empty());
 }
 
+TEST(BenchReport, FlagsMachineMismatchWithBaseline) {
+  std::string error;
+  const auto doc = [&error](const std::string& machine) {
+    const std::optional<BenchDoc> parsed = parse_bench_doc(
+        "{\"schema_version\": 1, \"name\": \"bench_m\", " + machine +
+            "\"metrics\": [], \"claims\": []}",
+        &error);
+    EXPECT_TRUE(parsed.has_value()) << error;
+    return parsed.value_or(BenchDoc{});
+  };
+  const auto machine = [](int threads) {
+    return "\"machine\": {\"hardware_concurrency\": " +
+           std::to_string(threads) +
+           ", \"compiler\": \"gcc 12\", \"pointer_bits\": 64}, ";
+  };
+  const BenchDoc run = doc(machine(4));
+  ASSERT_TRUE(run.machine.has_value());
+  ASSERT_EQ(run.machine->size(), 3u);
+  EXPECT_EQ((*run.machine)[0].second, "4");
+  EXPECT_EQ((*run.machine)[1].second, "gcc 12");
+
+  EXPECT_EQ(machine_note({run}, {doc(machine(4))}), "");
+  EXPECT_EQ(machine_note({run}, {doc(machine(1))}),
+            "machine differs: hardware_concurrency (baseline 1, run 4)\n");
+  EXPECT_EQ(machine_note({run}, {doc("")}),
+            "machine: baseline has no machine block\n");
+  // A run without a machine block differs in every baseline field.
+  EXPECT_EQ(machine_note({doc("")}, {doc(machine(1))}),
+            "machine differs: hardware_concurrency (baseline 1, run -), "
+            "compiler (baseline gcc 12, run -), "
+            "pointer_bits (baseline 64, run -)\n");
+  // Benches without a baseline counterpart are not compared.
+  BenchDoc other = doc(machine(1));
+  other.name = "bench_other";
+  EXPECT_EQ(machine_note({run}, {other}), "");
+  // The mismatch is informational: it is not a regression.
+  EXPECT_TRUE(compare_to_baseline({run}, {doc(machine(1))}, 10.0).empty());
+  EXPECT_FALSE(parse_bench_doc("{\"schema_version\": 1, \"name\": \"x\", "
+                               "\"machine\": 3, \"metrics\": [], "
+                               "\"claims\": []}",
+                               &error)
+                   .has_value());
+  EXPECT_NE(error.find("machine"), std::string::npos);
+}
+
 TEST(BenchReport, SummaryTableListsEveryBench) {
   std::string error;
   const std::vector<BenchDoc> docs = {

@@ -1,14 +1,53 @@
 // Unit tests for mhs::partition — cost model and partitioning algorithms.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+#include <vector>
+
 #include "apps/workloads.h"
 #include "base/rng.h"
 #include "ir/task_graph_gen.h"
 #include "partition/algorithms.h"
 #include "partition/cost_model.h"
 
+namespace {
+// Heap allocations made by this thread while counting is on.
+thread_local bool t_count_allocations = false;
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+// Counting replacements of the global allocation functions, so a test can
+// assert that a code path never touches the heap. Sanitizer builds keep
+// their own allocator; the test that reads the count skips there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kCountsAllocations = false;
+#else
+constexpr bool kCountsAllocations = true;
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  if (t_count_allocations) ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+#endif
+
 namespace mhs::partition {
 namespace {
+
+/// Allocations the calling thread makes during `fn`.
+template <typename Fn>
+std::size_t allocations_during(Fn&& fn) {
+  t_allocations = 0;
+  t_count_allocations = true;
+  fn();
+  t_count_allocations = false;
+  return t_allocations;
+}
 
 CostModel make_model(const ir::TaskGraph& g) {
   return CostModel(g, hw::default_library());
@@ -109,6 +148,40 @@ TEST(CostModel, EnergyPenalizesConstraintViolations) {
   strict.latency_target = 1000.0;  // far below the all-SW latency
   EXPECT_GT(model.evaluate(all_sw, strict).energy,
             model.evaluate(all_sw, relaxed).energy);
+}
+
+TEST(CostModel, WarmEvaluationAllocatesNothing) {
+  if (!kCountsAllocations) GTEST_SKIP() << "sanitizer allocator in use";
+  Rng rng(21);
+  ir::TaskGraphGenConfig cfg;
+  cfg.num_tasks = 24;
+  const ir::TaskGraph g = ir::generate_task_graph(cfg, rng);
+  CostModel model = make_model(g);
+  Mapping mapping(g.num_tasks(), false);
+  for (std::size_t t = 0; t < mapping.size(); t += 3) mapping[t] = true;
+  std::vector<Objective> objectives(4);
+  objectives[1].consider_concurrency = false;
+  objectives[2].consider_communication = false;
+  objectives[3].consider_concurrency = false;
+  objectives[3].consider_communication = false;
+  double sink = 0.0;
+  const auto evaluate_all = [&] {
+    for (const Objective& o : objectives) {
+      sink += model.evaluate(mapping, o).energy;
+      sink += model.hardware_area(mapping);
+    }
+  };
+
+  evaluate_all();  // sizes this thread's scratch
+  EXPECT_EQ(allocations_during(evaluate_all), 0u);
+
+  EvalCache cache;
+  model.set_cache(&cache);
+  evaluate_all();  // misses insert their keys
+  const std::size_t hits = cache.stats().hits;
+  EXPECT_EQ(allocations_during(evaluate_all), 0u);
+  EXPECT_GT(cache.stats().hits, hits);
+  EXPECT_GT(sink, 0.0);
 }
 
 TEST(Algorithms, BaselinesAreExtremes) {
