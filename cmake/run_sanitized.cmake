@@ -1,48 +1,30 @@
-# Tier-2 sanitizer gate (driven by the `sanitize_core` ctest).
+# Tier-2 sanitizer gates (driven by the `sanitize_core` and
+# `sanitize_thread` ctests).
 #
-# Configures a nested build of this source tree with
-# MHS_SANITIZE=address,undefined, builds the core test suites plus one
-# bench and the bench_report tool, then runs them all under the
-# instrumented binaries. Any ASan/UBSan finding (leak, OOB, UB) makes a
-# suite exit non-zero and fails the test.
+# Configures a nested build of this source tree with MHS_SANITIZE set to
+# the requested sanitizers, builds the requested test suites plus
+# equiv_fuzz, one bench and the bench_report tool, then runs them all
+# under the instrumented binaries. Any finding (ASan leak or OOB, UBSan
+# UB, TSan data race) makes a run exit non-zero and fails the test.
 #
 # Inputs (via -D):
 #   SOURCE_DIR - repository root
 #   WORK_DIR   - scratch directory for the nested build
-if(NOT SOURCE_DIR OR NOT WORK_DIR)
-  message(FATAL_ERROR "run_sanitized.cmake needs -DSOURCE_DIR and -DWORK_DIR")
+#   SANITIZE   - MHS_SANITIZE value, e.g. "address,undefined" or "thread"
+#   SUITES     - comma-separated test binaries (tests/<name>) to build
+#                and run
+if(NOT SOURCE_DIR OR NOT WORK_DIR OR NOT SANITIZE OR NOT SUITES)
+  message(FATAL_ERROR "run_sanitized.cmake needs -DSOURCE_DIR, -DWORK_DIR, "
+                      "-DSANITIZE and -DSUITES")
 endif()
+string(REPLACE "," ";" suites "${SUITES}")
 
 set(build_dir "${WORK_DIR}/build")
 file(MAKE_DIRECTORY "${build_dir}")
 
-# The suites that exercise the memory-heavy subsystems: containers and
-# threading (base), the IR and its serializers, the JSON parser (obs),
-# the new verifier/lints (analysis + lint CLI), the multi-threaded
-# explorer, the fault injector (unit suite plus the 500-plan fuzz
-# harness, whose adversarial inputs are exactly what sanitizers are
-# for), the value-range abstract interpreter (unit suite plus the
-# 10k-kernel soundness fuzzer, whose random arithmetic probes the i64
-# corner cases UBSan exists to catch), the service daemon (sockets,
-# the worker pool, and request coalescing — the tree's most
-# concurrency-dense code), and the RtlSim differential equivalence
-# layer (unit suite, committed reproducer corpus, and the equiv_fuzz
-# harness at reduced iteration count — random hardware being stepped
-# cycle by cycle is dense in the shifts and wraps UBSan watches), and
-# high-level synthesis (unit suite plus the golden-fingerprint sweep,
-# whose heap- and CSR-indexed schedulers and binders index by op id), and
-# HW/SW partitioning (unit suite plus the golden and differential sweep,
-# whose flat cost model indexes CSR successor lists by raw task and edge
-# index out of per-thread scratch). A full-tree sanitized build would
-# take far longer on the single-core CI box for little extra coverage.
-set(suites test_base test_ir test_obs test_analysis test_absint
-           absint_fuzz test_lint_cli test_explorer test_fault fault_fuzz
-           test_serve serve_traffic test_equivalence test_corpus
-           test_hw test_hls_golden test_partition test_partition_golden)
-
 execute_process(
   COMMAND ${CMAKE_COMMAND} -S "${SOURCE_DIR}" -B "${build_dir}"
-          -DMHS_SANITIZE=address,undefined
+          -DMHS_SANITIZE=${SANITIZE}
           -DCMAKE_BUILD_TYPE=RelWithDebInfo
   RESULT_VARIABLE config_rc)
 if(NOT config_rc EQUAL 0)
@@ -62,7 +44,7 @@ foreach(suite IN LISTS suites)
     COMMAND "${build_dir}/tests/${suite}"
     RESULT_VARIABLE suite_rc)
   if(NOT suite_rc EQUAL 0)
-    message(FATAL_ERROR "${suite} failed under ASan/UBSan (rc=${suite_rc})")
+    message(FATAL_ERROR "${suite} failed under ${SANITIZE} (rc=${suite_rc})")
   endif()
 endforeach()
 
@@ -76,7 +58,7 @@ execute_process(
           "${build_dir}/tests/equiv_fuzz"
   RESULT_VARIABLE equiv_rc)
 if(NOT equiv_rc EQUAL 0)
-  message(FATAL_ERROR "equiv_fuzz failed under ASan/UBSan (rc=${equiv_rc})")
+  message(FATAL_ERROR "equiv_fuzz failed under ${SANITIZE} (rc=${equiv_rc})")
 endif()
 
 # One real bench run plus the report checker, sanitized end to end: the
@@ -102,4 +84,4 @@ if(NOT check_rc EQUAL 0)
       "sanitized bench_report --check failed (rc=${check_rc})")
 endif()
 
-message(STATUS "sanitize_core: all suites ASan/UBSan-clean")
+message(STATUS "sanitizers ${SANITIZE}: every suite clean")

@@ -54,11 +54,9 @@ Explorer::Context& Explorer::context(
     std::vector<std::unique_ptr<Context>>& contexts) {
   Context& ctx = *contexts[config_index];
   std::call_once(ctx.once, [&] {
-    obs::Registry* const sink = obs::resolve(options_.trace_sink);
     obs::Span span;
-    if (sink != nullptr) {
-      span = obs::Span(sink,
-                       "annotate[" + std::to_string(config_index) + "]",
+    if (obs::enabled()) {
+      span = obs::Span("annotate[" + std::to_string(config_index) + "]",
                        "explorer");
     }
     std::vector<const ir::Cdfg*> kernels = kernels_;
@@ -101,12 +99,10 @@ PointResult Explorer::evaluate_point(
   result.config_index = point.config_index;
   // Per-point span, tagged with the batch index (the thread tag is
   // stamped by the registry). Name and args are only built when a sink
-  // is installed, so disabled runs pay one branch.
-  obs::Registry* const sink = obs::resolve(options_.trace_sink);
+  // is current, so disabled runs pay one branch.
   obs::Span span;
-  if (sink != nullptr) {
-    span = obs::Span(sink, "point[" + std::to_string(index) + "]",
-                     "explorer");
+  if (obs::enabled()) {
+    span = obs::Span("point[" + std::to_string(index) + "]", "explorer");
     span.arg("batch_index", std::to_string(index));
     span.arg("strategy", partition::strategy_name(point.strategy));
     span.arg("config", std::to_string(point.config_index));
@@ -120,13 +116,8 @@ PointResult Explorer::evaluate_point(
                                                 << " configs were given");
     Context& ctx =
         context(configs[point.config_index], point.config_index, contexts);
-    partition::PartitionOptions part_options = point.options;
-    if (part_options.trace_sink == nullptr) {
-      part_options.trace_sink = options_.trace_sink;
-    }
-    result.partition =
-        partition::run(point.strategy, *ctx.model, point.objective,
-                       part_options);
+    result.partition = partition::run(point.strategy, *ctx.model,
+                                      point.objective, point.options);
     const partition::Mapping all_sw(ctx.annotated.num_tasks(), false);
     result.all_sw_latency = ctx.model->schedule_latency(
         all_sw, point.objective.consider_concurrency,
@@ -142,7 +133,7 @@ PointResult Explorer::evaluate_point(
   // eval-latency histogram.
   const double elapsed_us = watch.elapsed_us();
   result.wall_ms = elapsed_us / 1000.0;
-  obs::observe(sink, "explorer.point_us",
+  obs::observe("explorer.point_us",
                static_cast<std::uint64_t>(std::llround(elapsed_us)));
   return result;
 }
@@ -156,6 +147,10 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
   const std::size_t estimate_hits_before = estimate_cache_.hits();
   const std::size_t estimate_misses_before = estimate_cache_.misses();
   const obs::Stopwatch watch;
+  // The pool's executors are not the calling thread: each task re-opens
+  // the caller's scope so its spans and counters land in the same
+  // registry as the batch's own.
+  obs::Registry* const sink = obs::registry();
 
   std::vector<std::unique_ptr<Context>> contexts;
   contexts.reserve(configs.size());
@@ -165,6 +160,7 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
 
   std::vector<PointResult> results(points.size());
   pool_.parallel_for(points.size(), [&](std::size_t i) {
+    const obs::ScopedSink scope(sink);
     results[i] = evaluate_point(points[i], i, configs, contexts);
   });
 
@@ -188,7 +184,6 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
   // span, so the two can never disagree.
   const double batch_us = watch.elapsed_us();
   report.wall_ms = batch_us / 1000.0;
-  obs::Registry* const sink = obs::resolve(options_.trace_sink);
   if (sink != nullptr) {
     obs::SpanEvent batch_span;
     batch_span.name = "explore";
@@ -216,14 +211,13 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
   report.estimate_cache_misses = estimate_cache_.misses();
 
   // Surface the cache reuse as obs counters (no-ops when disabled).
-  obs::gauge(sink, "explorer.cost_cache.hit_rate",
-             report.cost_cache_hit_rate);
-  obs::count(sink, "explorer.points", points.size());
-  obs::count(sink, "explorer.eval_cache.hits", report.cost_cache_hits);
-  obs::count(sink, "explorer.eval_cache.misses", report.cost_cache_misses);
-  obs::count(sink, "explorer.estimate_cache.hits",
+  obs::gauge("explorer.cost_cache.hit_rate", report.cost_cache_hit_rate);
+  obs::count("explorer.points", points.size());
+  obs::count("explorer.eval_cache.hits", report.cost_cache_hits);
+  obs::count("explorer.eval_cache.misses", report.cost_cache_misses);
+  obs::count("explorer.estimate_cache.hits",
              report.estimate_cache_hits - estimate_hits_before);
-  obs::count(sink, "explorer.estimate_cache.misses",
+  obs::count("explorer.estimate_cache.misses",
              report.estimate_cache_misses - estimate_misses_before);
 
   // Summary.
@@ -273,7 +267,7 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
     report.report.designs.push_back(std::move(d));
   }
   report.report.wall_ms = report.wall_ms;
-  report.report.capture_obs(sink);
+  report.report.capture_obs();
   return report;
 }
 

@@ -106,12 +106,6 @@ class Explorer {
     bool memoize = true;
     /// Shards per concurrent cache (contention knob).
     std::size_t cache_shards = 32;
-    /// Request-scoped trace sink: spans/counters/gauges of every
-    /// explore()/sweep() on this Explorer go here instead of the
-    /// installed global registry (null = use the global). Also forwarded
-    /// to partition::run for points that do not set their own. Never
-    /// affects results.
-    obs::Registry* trace_sink = nullptr;
   };
 
   /// `kernels[i]` is task i's behavioural kernel (nullptr = keep the

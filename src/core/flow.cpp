@@ -122,10 +122,6 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
                              const FlowConfig& config) {
   FlowReport report;
   const obs::Stopwatch flow_watch;
-  // Request-scoped tracing: resolve the sink once and pass it down
-  // explicitly (config field, not a thread-local) — concurrent flows on
-  // a shared worker pool each record into their own registry.
-  obs::Registry* const sink = obs::resolve(config.trace_sink);
   const bool gates_on = config.lint_level != analysis::LintLevel::kOff;
   analysis::Diagnostics& diagnostics = report.report.diagnostics;
 
@@ -136,7 +132,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
   // before the optimizer or the estimators can trip over it.
   std::vector<const ir::Cdfg*> kernels = raw_kernels;
   if (gates_on) {
-    obs::Span gate(sink, "verify.compile", "analysis");
+    obs::Span gate("verify.compile", "analysis");
     const analysis::Diagnostics graph_diags = analysis::verify(graph);
     diagnostics.merge(graph_diags);
     if (graph_diags.has_errors()) {
@@ -160,7 +156,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
   // downstream steps (estimation, partitioning inputs, HLS validation,
   // co-simulation) then see the optimized form.
   {
-    obs::Span phase(sink, "specify", "flow");
+    obs::Span phase("specify", "flow");
     if (config.optimize_kernels) {
       // Iterates the post-gate kernel list: a kernel the compile gate
       // dropped must not reach the optimizer either. Each kernel is
@@ -195,7 +191,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
 
   // Phase 2 — estimate.
   {
-    obs::Span phase(sink, "estimate", "flow");
+    obs::Span phase("estimate", "flow");
     report.annotated = annotate_costs(graph, kernels, config);
   }
 
@@ -203,7 +199,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
   const partition::CostModel model(report.annotated, config.library,
                                    config.comm);
   {
-    obs::Span phase(sink, "partition", "flow");
+    obs::Span phase("partition", "flow");
     cosynth::Request request;
     request.model = &model;
     request.objective = config.objective;
@@ -212,7 +208,6 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
     // skip-and-continue semantics; cosynth::run's all-or-nothing gate
     // would fire twice on the same graph, so it stays off here.
     request.lint_level = analysis::LintLevel::kOff;
-    request.trace_sink = sink;
     report.design =
         *cosynth::run(cosynth::Target::kCoprocessor, request).coprocessor;
   }
@@ -222,7 +217,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
   // structure was verified at gate 1; this re-lints the estimator-derived
   // annotations (an estimator emitting NaN costs surfaces here).
   if (gates_on) {
-    obs::Span gate(sink, "verify.partition", "analysis");
+    obs::Span gate("verify.partition", "analysis");
     const analysis::Diagnostics partition_diags =
         analysis::verify(report.annotated);
     diagnostics.merge(partition_diags);
@@ -231,7 +226,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
 
   // Phase 4 — co-synthesize: HLS of every HW-mapped kernel.
   {
-    obs::Span phase(sink, "cosynth", "flow");
+    obs::Span phase("cosynth", "flow");
     if (config.validate_with_hls) {
       report.validated_hw_area = cosynth::validate_hw_area(
           model, report.design.partition.mapping, kernels);
@@ -245,7 +240,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
   // Phase 5 — co-simulate the largest hardware kernel behind its
   // register interface.
   {
-    obs::Span phase(sink, "cosim", "flow");
+    obs::Span phase("cosim", "flow");
     if (config.cosimulate) {
       const ir::Cdfg* largest = nullptr;
       double largest_cycles = -1.0;
@@ -279,7 +274,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
         // to drive the cycle-accurate co-simulation; a value read before
         // its producing cycle or an over-committed FU would corrupt it.
         if (gates_on) {
-          obs::Span gate(sink, "verify.hls", "analysis");
+          obs::Span gate("verify.hls", "analysis");
           const analysis::Diagnostics hls_diags = analysis::verify(impl);
           diagnostics.merge(hls_diags);
           analysis::apply_gate("hls", config.lint_level, hls_diags);
@@ -289,7 +284,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
         // the compiled software reference bit-for-bit on seeded vectors
         // before the implementation is trusted with the co-simulation.
         if (config.verify_hls > 0) {
-          obs::Span gate(sink, "verify.equiv", "analysis");
+          obs::Span gate("verify.equiv", "analysis");
           const hw::EquivCampaign campaign = hw::verify_synthesis(
               impl, config.verify_hls, config.cosim_seed ^ 0xe901f0ull);
           MHS_CHECK(campaign.all_equivalent,
@@ -328,7 +323,6 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
         cosim_cfg.fault_plan = config.fault_plan;
         cosim_cfg.fault_seed = config.fault_seed;
         cosim_cfg.resilience = config.resilience;
-        cosim_cfg.trace_sink = sink;
         sim::SimRequest sreq;
         sreq.impl = &impl;
         sreq.samples = &samples;
@@ -381,7 +375,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
   // "flow" span are both derived from it, so they can never disagree.
   const double flow_us = flow_watch.elapsed_us();
   report.report.wall_ms = flow_us / 1000.0;
-  if (sink != nullptr) {
+  if (obs::Registry* const sink = obs::registry()) {
     obs::SpanEvent root;
     root.name = "flow";
     root.category = "flow";
@@ -389,7 +383,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
     root.dur_us = flow_us;
     sink->record(std::move(root));
   }
-  report.report.capture_obs(sink);
+  report.report.capture_obs();
   return report;
 }
 

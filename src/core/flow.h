@@ -131,13 +131,6 @@ struct FlowConfig {
   /// A structurally broken *task graph* always aborts regardless of
   /// level: no downstream phase can consume a cyclic graph.
   analysis::LintLevel lint_level = analysis::LintLevel::kWarn;
-  /// Request-scoped trace sink: every span/counter/histogram the flow
-  /// (and the partition/cosynth/sim layers under it) records goes here
-  /// instead of the installed global registry. Null = use the global
-  /// (the library default — existing callers see no change). Not part
-  /// of the configuration's identity: two configs differing only in
-  /// trace_sink produce bit-identical results.
-  obs::Registry* trace_sink = nullptr;
 
   /// The default configuration, as a fluent-chain anchor.
   static FlowConfig defaults() { return {}; }
@@ -229,11 +222,6 @@ struct FlowConfig {
   FlowConfig with_resilience(const sim::ResiliencePolicy& policy) const {
     FlowConfig c = *this;
     c.resilience = policy;
-    return c;
-  }
-  FlowConfig with_trace_sink(obs::Registry* sink) const {
-    FlowConfig c = *this;
-    c.trace_sink = sink;
     return c;
   }
 };

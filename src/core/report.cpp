@@ -6,10 +6,8 @@
 
 namespace mhs::core {
 
-void Report::capture_obs() { capture_obs(obs::registry()); }
-
-void Report::capture_obs(const obs::Registry* sink) {
-  if (sink != nullptr) obs = sink->summary();
+void Report::capture_obs() {
+  if (const obs::Registry* r = obs::registry()) obs = r->summary();
 }
 
 std::string Report::str() const {

@@ -6,7 +6,7 @@
 // envelope: a title, the designs the run produced — each flattened
 // through the common *Design shape (latency() / area() / summary()) —
 // and the observability summary (per-phase span timings and counter
-// totals) captured from the installed obs::Registry.
+// totals) captured from the current obs::Registry.
 //
 // FlowReport and ExploreReport embed a Report; any cosynth target's
 // design can be added via add_design() because every design struct now
@@ -65,12 +65,10 @@ struct Report {
                        design.summary()});
   }
 
-  /// Snapshots the installed registry's aggregates into `obs` (no-op
-  /// when tracing is disabled).
+  /// Snapshots the current registry's aggregates (obs::registry(): the
+  /// request's own inside a request scope) into `obs` (no-op when tracing
+  /// is disabled).
   void capture_obs();
-  /// Snapshots an explicit (request-scoped) registry instead (no-op when
-  /// `sink` is null).
-  void capture_obs(const obs::Registry* sink);
 
   /// Renders the whole report: banner, designs table, obs tables.
   std::string str() const;

@@ -105,12 +105,11 @@ std::string Result::summary() const {
 }
 
 Result run(Target target, const Request& request) {
-  obs::Registry* const sink = obs::resolve(request.trace_sink);
-  obs::Span span(sink, target_name(target), "cosynth");
+  obs::Span span(target_name(target), "cosynth");
   Result result;
   result.target = target;
   if (request.lint_level != analysis::LintLevel::kOff) {
-    obs::Span gate(sink, "verify.request", "analysis");
+    obs::Span gate("verify.request", "analysis");
     result.diagnostics = gate_request(target, request);
   }
   switch (target) {

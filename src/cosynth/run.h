@@ -31,10 +31,6 @@
 #include "cosynth/multiproc.h"
 #include "cosynth/periodic.h"
 
-namespace mhs::obs {
-class Registry;
-}  // namespace mhs::obs
-
 namespace mhs::cosynth {
 
 /// Every co-synthesis target selectable through run().
@@ -95,10 +91,6 @@ struct Request {
   /// flow, cosynth::run cannot skip a broken input, so warn and strict
   /// differ only in whether *this* dispatcher or a later consumer fails.
   analysis::LintLevel lint_level = analysis::LintLevel::kWarn;
-
-  /// Request-scoped trace sink for run()'s spans (null = the installed
-  /// global registry). Never affects the result.
-  obs::Registry* trace_sink = nullptr;
 };
 
 /// Outcome of run(): exactly the member matching `target` is engaged.

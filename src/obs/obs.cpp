@@ -14,6 +14,8 @@ namespace mhs::obs {
 namespace {
 
 std::atomic<Registry*> g_registry{nullptr};
+/// The calling thread's innermost ScopedSink (null outside any scope).
+thread_local Registry* t_scoped_sink = nullptr;
 
 std::chrono::steady_clock::time_point clock_epoch() {
   static const std::chrono::steady_clock::time_point epoch =
@@ -33,7 +35,20 @@ void set_registry(Registry* registry) {
   g_registry.store(registry, std::memory_order_release);
 }
 
-Registry* registry() { return g_registry.load(std::memory_order_acquire); }
+Registry* registry() {
+  if (Registry* scoped = t_scoped_sink) return scoped;
+  return global_registry();
+}
+
+Registry* global_registry() {
+  return g_registry.load(std::memory_order_acquire);
+}
+
+ScopedSink::ScopedSink(Registry* sink) : previous_(t_scoped_sink) {
+  if (sink != nullptr) t_scoped_sink = sink;
+}
+
+ScopedSink::~ScopedSink() { t_scoped_sink = previous_; }
 
 // --------------------------------------------------------------- Histogram
 
@@ -491,12 +506,8 @@ std::string Registry::chrome_trace_json() const {
 
 // -------------------------------------------------------------------- Span
 
-Span::Span(const char* name, const char* category) : registry_(registry()) {
-  if (registry_ == nullptr) return;
-  event_.name = name;
-  event_.category = category;
-  event_.start_us = registry_->now_us();
-}
+Span::Span(const char* name, const char* category)
+    : Span(registry(), name, category) {}
 
 Span::Span(std::string name, const char* category) : registry_(registry()) {
   if (registry_ == nullptr) return;
@@ -509,14 +520,6 @@ Span::Span(Registry* sink, const char* name, const char* category)
     : registry_(sink) {
   if (registry_ == nullptr) return;
   event_.name = name;
-  event_.category = category;
-  event_.start_us = registry_->now_us();
-}
-
-Span::Span(Registry* sink, std::string name, const char* category)
-    : registry_(sink) {
-  if (registry_ == nullptr) return;
-  event_.name = std::move(name);
   event_.category = category;
   event_.start_us = registry_->now_us();
 }

@@ -5,7 +5,7 @@
 // Every hot layer of the co-design flow (core::Flow phases, the
 // Explorer's design points, partition::run strategies, sim::run)
 // is instrumented with RAII Spans, Counters, and Histograms that report
-// to a single process-wide Registry. The registry exports two views:
+// to the current Registry, registry(). The registry exports two views:
 //
 //   * chrome_trace_json() — Chrome trace_event JSON, loadable in
 //     chrome://tracing or https://ui.perfetto.dev, showing where wall
@@ -16,15 +16,24 @@
 //     values) rendered as a plain-text table, the piece core::Report
 //     embeds.
 //
+// The current registry is the calling thread's ScopedSink when one is
+// active (one request's private registry, installed by the serving layer
+// for the request and by the Explorer for each pool task it runs on the
+// request's behalf), and the process-wide registry otherwise. So every
+// count()/observe()/gauge()/Span call records into the request that
+// caused it, with no sink parameter threaded through the layers.
+// Code that aggregates across requests names global_registry().
+//
 // Instrumentation is a no-op behind a null sink: no registry is
-// installed by default, Span/count()/observe() check one relaxed atomic
-// load and bail, so a tracing-disabled run pays nothing measurable (the
-// bench_explorer budget is <= 2% overhead). Install a sink with
-// ScopedRegistry (or set_registry) to start recording. Recorded content
-// is deterministic modulo the timestamp and duration values: the same
-// run produces the same span names, categories, args, counter totals,
-// and (for deterministic inputs such as simulated cycles) bit-identical
-// histogram aggregates regardless of thread scheduling.
+// installed by default, Span/count()/observe() check one thread-local
+// and one relaxed atomic load and bail, so a tracing-disabled run pays
+// nothing measurable (the bench_explorer budget is <= 2% overhead).
+// Install a sink with ScopedRegistry (or set_registry) to start
+// recording. Recorded content is deterministic modulo the timestamp and
+// duration values: the same run produces the same span names,
+// categories, args, counter totals, and (for deterministic inputs such
+// as simulated cycles) bit-identical histogram aggregates regardless of
+// thread scheduling.
 #pragma once
 
 #include <atomic>
@@ -335,36 +344,34 @@ class Registry {
 /// Installs `registry` as the process-wide sink (nullptr disables all
 /// instrumentation — the default).
 void set_registry(Registry* registry);
-/// The installed sink, or nullptr when tracing is disabled.
+/// The current sink: the calling thread's innermost ScopedSink when one
+/// is active, otherwise the process-wide registry (nullptr when tracing
+/// is disabled).
 Registry* registry();
-/// True iff a sink is installed (one relaxed atomic load).
+/// The process-wide registry, ignoring any ScopedSink. For code that
+/// aggregates across requests (/v1/metrics, the server's per-request
+/// merge); inside a request, registry() is that request's own registry.
+Registry* global_registry();
+/// True iff a sink is current (see registry()).
 inline bool enabled() { return registry() != nullptr; }
-
-/// Resolves an explicit sink: `sink` itself when given, otherwise the
-/// installed process-wide registry (which may be null = disabled). The
-/// propagation rule for request-scoped tracing: layers accept a
-/// `Registry* trace_sink` config field, resolve it once at entry, and
-/// pass the resolved pointer down explicitly — never through
-/// thread-locals, which would smear concurrent requests that share a
-/// worker pool.
-inline Registry* resolve(Registry* sink) { return sink ? sink : registry(); }
 
 /// Per-request trace context: the identity and sink of one request's
 /// observability. Created by the serving layer (one per request, with a
-/// fresh Registry), passed down by pointer; everything recorded into
-/// `sink` belongs to exactly this request and is merged into the
-/// process-wide registry when the request completes.
+/// fresh Registry); the dispatcher installs `sink` as a ScopedSink for
+/// the request, so everything recorded into it belongs to exactly this
+/// request. The server merges it into the process-wide registry when
+/// the request completes.
 struct TraceContext {
   std::string trace_id;     ///< stable id, e.g. "r42"
-  Registry* sink = nullptr; ///< per-request sink (null = use the global)
+  Registry* sink = nullptr; ///< per-request sink (null = use the current)
   double start_us = 0.0;    ///< obs-clock time the request was admitted
 };
 
-/// RAII installation of a registry (restores the previous sink, so
-/// scopes nest).
+/// RAII installation of a registry as the process-wide sink (restores
+/// the previous one, so scopes nest).
 class ScopedRegistry {
  public:
-  explicit ScopedRegistry(Registry& r) : previous_(registry()) {
+  explicit ScopedRegistry(Registry& r) : previous_(global_registry()) {
     set_registry(&r);
   }
   ~ScopedRegistry() { set_registry(previous_); }
@@ -375,9 +382,27 @@ class ScopedRegistry {
   Registry* previous_;
 };
 
-/// RAII span: captures the sink and start time at construction, records
-/// a SpanEvent at destruction. When no sink is installed at construction
-/// the span is inert (no allocation, no clock read).
+/// RAII request scope: makes `sink` the calling thread's current
+/// registry until destruction, then restores the previous scope. A null
+/// `sink` changes nothing, so a scope opened for an untraced request
+/// keeps whatever was current. The scope covers one request or one pool
+/// task, never a thread's lifetime: work handed to another thread must
+/// carry the sink (read registry() before the hand-off) and open its own
+/// scope there.
+class ScopedSink {
+ public:
+  explicit ScopedSink(Registry* sink);
+  ~ScopedSink();
+  ScopedSink(const ScopedSink&) = delete;
+  ScopedSink& operator=(const ScopedSink&) = delete;
+
+ private:
+  Registry* previous_;
+};
+
+/// RAII span: captures the current sink and start time at construction,
+/// records a SpanEvent at destruction. When no sink is current at
+/// construction the span is inert (no allocation, no clock read).
 class Span {
  public:
   /// Inert span (also what the const char* form degrades to when
@@ -388,10 +413,9 @@ class Span {
   /// Dynamic-name span; build the string behind an enabled() check so
   /// disabled runs never pay for the formatting.
   Span(std::string name, const char* category);
-  /// Sink-explicit spans for request-scoped tracing: record into `sink`
-  /// instead of the installed global (inert when `sink` is null).
+  /// Span recording into `sink` instead of the current registry (inert
+  /// when `sink` is null).
   Span(Registry* sink, const char* name, const char* category);
-  Span(Registry* sink, std::string name, const char* category);
   ~Span();
 
   Span(Span&& other) noexcept;
@@ -411,40 +435,22 @@ class Span {
   SpanEvent event_;
 };
 
-/// Adds `delta` to a monotonic counter on the installed sink (no-op when
+/// Adds `delta` to a monotonic counter on the current sink (no-op when
 /// tracing is disabled).
 inline void count(std::string_view name, std::uint64_t delta = 1) {
   if (Registry* r = registry()) r->count(name, delta);
 }
 
-/// Records one sample into the named histogram on the installed sink
+/// Records one sample into the named histogram on the current sink
 /// (no-op when tracing is disabled). Hot loops should instead resolve
 /// Registry::histogram(name) once and call record() directly.
 inline void observe(std::string_view name, std::uint64_t value) {
   if (Registry* r = registry()) r->histogram(name).record(value);
 }
 
-/// Sets the named gauge on the installed sink (no-op when disabled).
+/// Sets the named gauge on the current sink (no-op when disabled).
 inline void gauge(std::string_view name, double value) {
   if (Registry* r = registry()) r->gauge(name, value);
-}
-
-// Sink-explicit counterparts for request-scoped tracing: record into a
-// resolved sink (no-op when it is null). Callers resolve() a config's
-// trace_sink once at entry and use these throughout.
-
-inline void count(Registry* sink, std::string_view name,
-                  std::uint64_t delta = 1) {
-  if (sink != nullptr) sink->count(name, delta);
-}
-
-inline void observe(Registry* sink, std::string_view name,
-                    std::uint64_t value) {
-  if (sink != nullptr) sink->histogram(name).record(value);
-}
-
-inline void gauge(Registry* sink, std::string_view name, double value) {
-  if (sink != nullptr) sink->gauge(name, value);
 }
 
 }  // namespace mhs::obs

@@ -313,17 +313,16 @@ PartitionResult dispatch(Strategy strategy, const CostModel& model,
 PartitionResult run(Strategy strategy, const CostModel& model,
                     const Objective& objective,
                     const PartitionOptions& options) {
-  obs::Registry* const sink = obs::resolve(options.trace_sink);
-  obs::Span span(sink, strategy_name(strategy), "partition");
+  obs::Span span(strategy_name(strategy), "partition");
   PartitionResult result = dispatch(strategy, model, objective, options);
   // Per-strategy iteration/move effort, as monotonic counters.
-  if (sink != nullptr) {
+  if (obs::enabled()) {
     const std::string prefix = std::string("partition.") + result.algorithm;
-    obs::count(sink, prefix + ".runs", 1);
-    obs::count(sink, prefix + ".evaluations", result.evaluations);
+    obs::count(prefix + ".runs", 1);
+    obs::count(prefix + ".evaluations", result.evaluations);
     std::size_t moves = 0;
     for (const bool hw : result.mapping) moves += hw ? 1 : 0;
-    obs::count(sink, prefix + ".tasks_moved_to_hw", moves);
+    obs::count(prefix + ".tasks_moved_to_hw", moves);
   }
   return result;
 }

@@ -29,10 +29,6 @@
 #include "opt/anneal.h"
 #include "partition/cost_model.h"
 
-namespace mhs::obs {
-class Registry;
-}  // namespace mhs::obs
-
 namespace mhs::partition {
 
 /// Every partitioning algorithm selectable through run().
@@ -68,9 +64,6 @@ struct PartitionOptions {
   Mapping start;
   /// Schedule/seed for kAnnealed.
   opt::AnnealConfig anneal;
-  /// Request-scoped trace sink for run()'s span and counters (null =
-  /// the installed global registry). Never affects the result.
-  obs::Registry* trace_sink = nullptr;
 };
 
 /// Outcome of one partitioning run.

@@ -6,8 +6,9 @@
 //   performance      — end-to-end latency of a list schedule where software
 //                      tasks serialize on one CPU and hardware tasks run
 //                      concurrently ("concurrency" factor),
-//   implementation   — hardware area with resource sharing (via the
-//   cost               incremental estimator) plus software code size,
+//   implementation   — hardware area with resource sharing
+//   cost               (hw::shared_area_from_scratch over the HW-mapped
+//                      tasks) plus software code size,
 //   communication    — cross-boundary traffic priced by the bus model,
 //   modifiability    — penalty for freezing change-prone functions in HW,
 //   nature of        — task parallelism annotations feed the HW latency

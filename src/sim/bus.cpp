@@ -13,10 +13,6 @@ const char* interface_level_name(InterfaceLevel level) {
 }
 
 BusModel::BusModel(Simulator& sim, BusConfig config, InterfaceLevel level)
-    : BusModel(sim, config, level, obs::registry()) {}
-
-BusModel::BusModel(Simulator& sim, BusConfig config, InterfaceLevel level,
-                   obs::Registry* sink)
     : sim_(&sim),
       config_(config),
       level_(level),
@@ -26,8 +22,8 @@ BusModel::BusModel(Simulator& sim, BusConfig config, InterfaceLevel level,
       rw_(sim, "bus.rw"),
       ack_(sim, "bus.ack") {
   MHS_CHECK(config_.width_bytes >= 1, "bus width must be >= 1 byte");
-  if (sink != nullptr) {
-    grant_wait_hist_ = &sink->histogram("bus.grant_wait_cycles");
+  if (obs::Registry* r = obs::registry()) {
+    grant_wait_hist_ = &r->histogram("bus.grant_wait_cycles");
   }
 }
 

@@ -39,11 +39,6 @@ struct BusConfig {
 class BusModel {
  public:
   BusModel(Simulator& sim, BusConfig config, InterfaceLevel level);
-  /// Same, but recording the grant-wait histogram into an explicit
-  /// request-scoped sink instead of the installed global registry
-  /// (null = tracing disabled).
-  BusModel(Simulator& sim, BusConfig config, InterfaceLevel level,
-           obs::Registry* sink);
 
   /// One word access (a register read or write). Returns cycles consumed.
   Time access(std::uint64_t addr, bool is_write);

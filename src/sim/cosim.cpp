@@ -28,9 +28,6 @@ void fold_checksum(std::int64_t& checksum, std::int64_t value) {
 struct RecoveryWindow {
   bool open = false;
   Time start = 0;
-  /// Request-scoped sink for the recovery-latency histogram (null =
-  /// tracing disabled for this run).
-  obs::Registry* sink = nullptr;
 
   void detect(fault::FaultInjector& fi, Time now) {
     fi.note_detected();
@@ -43,14 +40,14 @@ struct RecoveryWindow {
     if (!open) return;  // nothing was wrong with this sample
     const Time span = now - start;
     fi.note_recovered(span);
-    obs::observe(sink, "fault.recovery_cycles", span);
+    obs::observe("fault.recovery_cycles", span);
     open = false;
   }
   void degrade(fault::FaultInjector& fi, Time now) {
     Time span = 0;
     if (open) {
       span = now - start;
-      obs::observe(sink, "fault.recovery_cycles", span);
+      obs::observe("fault.recovery_cycles", span);
       open = false;
     }
     fi.note_degraded(span);
@@ -59,8 +56,8 @@ struct RecoveryWindow {
 
 /// Compiles the kernel as the resilient driver's software fallback:
 /// strips the trailing halt and relocates the body's memory-mapped I/O
-/// (compiler conventions 0x1000/0x2000) up to 0x6000/0x7000, clear of
-/// the driver's sample buffers at the same addresses.
+/// (compiler conventions 0x1000/0x2000) up to 0x6000/0x7000, the
+/// fallback I/O window below kSampleBufferBase.
 void attach_fallback(const hw::HlsResult& impl, DriverSpec& spec) {
   const ir::Cdfg& cdfg = impl.schedule.cdfg();
   sw::Program prog = sw::compile(cdfg);
@@ -93,14 +90,6 @@ void attach_fallback(const hw::HlsResult& impl, DriverSpec& spec) {
   spec.fallback_body = std::move(prog.code);
 }
 
-/// Base of the ISS-level sample buffers. The driver's fixed windows all
-/// sit below it: compiler I/O and spills (from 0x1000), the IRQ flag and
-/// save area (0x4000, 0x5000), the relocated fallback I/O (from 0x6000),
-/// and the peripheral and monitor MMIO windows (0x10000, 0x30000).
-constexpr std::uint64_t kSampleBufferBase = 0x40000;
-static_assert(kSampleBufferBase >= kPeripheralBase + PeripheralLayout::kSize);
-static_assert(kSampleBufferBase >= kMonitorBase + MonitorLayout::kSize);
-
 std::vector<std::string> kernel_input_names(const hw::HlsResult& impl) {
   std::vector<std::string> names;
   const ir::Cdfg& cdfg = impl.schedule.cdfg();
@@ -120,9 +109,8 @@ CosimReport run_iss_levels(const hw::HlsResult& impl,
                            const CosimConfig& config,
                            const std::vector<std::vector<std::int64_t>>&
                                samples, fault::FaultInjector* fi) {
-  obs::Registry* const sink = obs::resolve(config.trace_sink);
-  Simulator sim(sink);
-  BusModel bus(sim, config.bus, config.level, sink);
+  Simulator sim;
+  BusModel bus(sim, config.bus, config.level);
   StreamPeripheral periph(sim, impl, config.level);
   if (fi != nullptr) {
     bus.set_fault_injector(fi);
@@ -133,10 +121,6 @@ CosimReport run_iss_levels(const hw::HlsResult& impl,
   spec.num_inputs = periph.num_inputs();
   spec.num_outputs = periph.num_outputs();
   spec.samples = samples.size();
-  // Sample-major buffers sized from this run: all inputs, then all
-  // outputs, so no sample count can overlap a fixed window.
-  spec.in_buffer = kSampleBufferBase;
-  spec.out_buffer = spec.in_buffer + 8 * samples.size() * spec.num_inputs;
   spec.use_irq = config.use_irq;
   spec.background_unroll = config.background_unroll;
   if (fi != nullptr) {
@@ -183,7 +167,6 @@ CosimReport run_iss_levels(const hw::HlsResult& impl,
   // protocol here at zero bus cost; the harness folds the events into
   // the fault scoreboard.
   RecoveryWindow window;
-  window.sink = sink;
   if (fi != nullptr) {
     const std::uint64_t mon_base = spec.monitor_base;
     iss.add_mmio(
@@ -217,7 +200,7 @@ CosimReport run_iss_levels(const hw::HlsResult& impl,
               "sample " << i << " has " << samples[i].size()
                         << " inputs, kernel expects " << spec.num_inputs);
     for (std::size_t k = 0; k < spec.num_inputs; ++k) {
-      iss.write_word(spec.in_buffer + 8 * (i * spec.num_inputs + k),
+      iss.write_word(driver.in_buffer + 8 * (i * spec.num_inputs + k),
                      samples[i][k]);
     }
   }
@@ -265,8 +248,8 @@ CosimReport run_iss_levels(const hw::HlsResult& impl,
   const std::size_t num_outputs = spec.num_outputs;
   for (std::size_t i = 0; i < samples.size(); ++i) {
     for (std::size_t m = 0; m < num_outputs; ++m) {
-      fold_checksum(report.checksum,
-                    iss.read_word(spec.out_buffer + 8 * (i * num_outputs + m)));
+      fold_checksum(report.checksum, iss.read_word(driver.out_buffer +
+                                                   8 * (i * num_outputs + m)));
     }
   }
 
@@ -284,12 +267,11 @@ CosimReport run_iss_levels(const hw::HlsResult& impl,
 
   // Instruction mix: surface the ISS's per-opcode retirement histogram
   // as counters so the mix appears in Report summaries.
-  if (sink != nullptr) {
+  if (obs::enabled()) {
     const std::vector<std::uint64_t>& mix = iss.opcode_histogram();
     for (std::size_t op = 0; op < mix.size(); ++op) {
       if (mix[op] == 0) continue;
-      obs::count(sink,
-                 std::string("iss.op.") +
+      obs::count(std::string("iss.op.") +
                      sw::opcode_name(static_cast<sw::Opcode>(op)),
                  mix[op]);
     }
@@ -302,9 +284,8 @@ CosimReport run_driver_level(const hw::HlsResult& impl,
                              const CosimConfig& config,
                              const std::vector<std::vector<std::int64_t>>&
                                  samples, fault::FaultInjector* fi) {
-  obs::Registry* const sink = obs::resolve(config.trace_sink);
-  Simulator sim(sink);
-  BusModel bus(sim, config.bus, config.level, sink);
+  Simulator sim;
+  BusModel bus(sim, config.bus, config.level);
   StreamPeripheral periph(sim, impl, config.level);
   const std::size_t num_inputs = periph.num_inputs();
   const std::size_t num_outputs = periph.num_outputs();
@@ -343,7 +324,6 @@ CosimReport run_driver_level(const hw::HlsResult& impl,
     std::size_t failed_invocations = 0;
     bool degraded_sticky = false;
     RecoveryWindow window;
-    window.sink = sink;
 
     std::vector<std::int64_t> fallback_out(out_names.size(), 0);
     const auto run_fallback = [&](const std::vector<std::int64_t>& sample) {
@@ -496,9 +476,8 @@ CosimReport run_message_level(const hw::HlsResult& impl,
                               const CosimConfig& config,
                               const std::vector<std::vector<std::int64_t>>&
                                   samples, fault::FaultInjector* fi) {
-  obs::Registry* const sink = obs::resolve(config.trace_sink);
-  Simulator sim(sink);
-  BusModel bus(sim, config.bus, config.level, sink);
+  Simulator sim;
+  BusModel bus(sim, config.bus, config.level);
   // Kernel evaluation, precompiled: positional slots are in
   // cdfg.inputs()/outputs() order, matching the samples and the
   // checksum-fold order below.
@@ -534,7 +513,6 @@ CosimReport run_message_level(const hw::HlsResult& impl,
     std::size_t failed_invocations = 0;
     bool degraded_sticky = false;
     RecoveryWindow window;
-    window.sink = sink;
 
     const auto evaluate_sample =
         [&](const std::vector<std::int64_t>& sample, bool remote) {
@@ -672,8 +650,7 @@ CosimReport detail::run_cosim(
     const hw::HlsResult& impl, const CosimConfig& config,
     const std::vector<std::vector<std::int64_t>>& sample_inputs) {
   MHS_CHECK(!sample_inputs.empty(), "co-simulation needs at least 1 sample");
-  obs::Registry* const sink = obs::resolve(config.trace_sink);
-  obs::Span span(sink, interface_level_name(config.level), "cosim");
+  obs::Span span(interface_level_name(config.level), "cosim");
   const obs::Stopwatch watch;
   // A disabled plan hands nullptr to every hook — the entire simulation
   // then takes exactly the fault-free code paths (bit-identical results
@@ -683,25 +660,25 @@ CosimReport detail::run_cosim(
   fault::FaultInjector* fi = injector.enabled() ? &injector : nullptr;
   CosimReport report = dispatch_cosim(impl, config, sample_inputs, fi);
   report.resilience = injector.report();
-  if (fi != nullptr && sink != nullptr) {
+  if (fi != nullptr && span.active()) {
     const fault::ResilienceReport& res = report.resilience;
-    obs::count(sink, "fault.injected", res.injected);
-    obs::count(sink, "fault.detected", res.detected);
-    obs::count(sink, "fault.recovered", res.recovered);
-    obs::count(sink, "fault.retries", res.retries);
-    obs::count(sink, "fault.degradations", res.degradations);
+    obs::count("fault.injected", res.injected);
+    obs::count("fault.detected", res.detected);
+    obs::count("fault.recovered", res.recovered);
+    obs::count("fault.retries", res.retries);
+    obs::count("fault.degradations", res.degradations);
   }
-  if (sink != nullptr) {
-    obs::count(sink, "cosim.runs", 1);
-    obs::count(sink, "cosim.events", report.sim_events);
-    obs::count(sink, "cosim.bus_accesses", report.bus_accesses);
-    obs::count(sink, "cosim.samples", sample_inputs.size());
+  if (span.active()) {
+    obs::count("cosim.runs", 1);
+    obs::count("cosim.events", report.sim_events);
+    obs::count("cosim.bus_accesses", report.bus_accesses);
+    obs::count("cosim.samples", sample_inputs.size());
     // Simulation throughput: simulated cycles per wall-clock second.
     const double wall_s = watch.elapsed_us() / 1e6;
     if (wall_s > 0.0) {
       const double throughput = report.total_cycles / wall_s;
       span.arg("sim_cycles_per_wall_s", fmt(throughput, 0));
-      obs::gauge(sink, "cosim.cycles_per_wall_s", throughput);
+      obs::gauge("cosim.cycles_per_wall_s", throughput);
     }
     span.arg("level", interface_level_name(config.level));
   }

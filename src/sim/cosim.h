@@ -55,10 +55,6 @@ struct CosimConfig {
   /// Driver timeout/retry/degradation policy, engaged only when the
   /// fault plan is enabled.
   ResiliencePolicy resilience;
-  /// Request-scoped trace sink: the run's span, counters, gauges, and
-  /// the simulator/bus wait histograms go here instead of the installed
-  /// global registry (null = use the global). Never affects the report.
-  obs::Registry* trace_sink = nullptr;
 };
 
 /// What one co-simulation run produced and what it cost to simulate.

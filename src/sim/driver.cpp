@@ -1,5 +1,6 @@
 #include "sim/driver.h"
 
+#include <algorithm>
 #include <iterator>
 #include <utility>
 #include <vector>
@@ -45,6 +46,18 @@ Instr st(std::uint8_t rs2, std::int64_t addr) {
 }
 Instr addi(std::uint8_t rd, std::uint8_t rs1, std::int64_t imm) {
   return Instr{Opcode::kAddi, rd, rs1, 0, imm};
+}
+
+/// An empty driver with its sample buffers placed for `spec`: at
+/// kSampleBufferBase, or past the peripheral and monitor windows when
+/// either ends higher, so no sample is streamed into a device register.
+Driver placed_driver(const DriverSpec& spec) {
+  Driver driver;
+  driver.in_buffer = std::max({kSampleBufferBase,
+                               spec.periph_base + PeripheralLayout::kSize,
+                               spec.monitor_base + MonitorLayout::kSize});
+  driver.out_buffer = driver.in_buffer + 8 * spec.samples * spec.num_inputs;
+  return driver;
 }
 
 /// Forward-branch bookkeeping for the resilient driver's control flow:
@@ -130,7 +143,7 @@ Driver generate_resilient_driver(const DriverSpec& spec) {
       pol.degrade_after != 0 ? static_cast<std::int64_t>(pol.degrade_after)
                              : (std::int64_t{1} << 62);
 
-  Driver driver;
+  Driver driver = placed_driver(spec);
   std::vector<Instr>& code = driver.code;
   LabelPatcher labels;
   const std::size_t kLoopTop = labels.make();
@@ -155,8 +168,8 @@ Driver generate_resilient_driver(const DriverSpec& spec) {
 
   // Prologue.
   code.push_back(li(kCounter, static_cast<std::int64_t>(spec.samples)));
-  code.push_back(li(kInPtr, static_cast<std::int64_t>(spec.in_buffer)));
-  code.push_back(li(kOutPtr, static_cast<std::int64_t>(spec.out_buffer)));
+  code.push_back(li(kInPtr, static_cast<std::int64_t>(driver.in_buffer)));
+  code.push_back(li(kOutPtr, static_cast<std::int64_t>(driver.out_buffer)));
   code.push_back(li(kBackground, 0));
   code.push_back(li(kFailCnt, 0));
   code.push_back(li(kDegraded, 0));
@@ -300,13 +313,13 @@ Driver generate_driver(const DriverSpec& spec) {
            static_cast<std::int64_t>(8 * m);
   };
 
-  Driver driver;
+  Driver driver = placed_driver(spec);
   std::vector<Instr>& code = driver.code;
 
   // Prologue.
   code.push_back(li(kCounter, static_cast<std::int64_t>(spec.samples)));
-  code.push_back(li(kInPtr, static_cast<std::int64_t>(spec.in_buffer)));
-  code.push_back(li(kOutPtr, static_cast<std::int64_t>(spec.out_buffer)));
+  code.push_back(li(kInPtr, static_cast<std::int64_t>(driver.in_buffer)));
+  code.push_back(li(kOutPtr, static_cast<std::int64_t>(driver.out_buffer)));
   code.push_back(li(kOne, 1));
   code.push_back(li(kBackground, 0));
   // CTRL value: GO, plus IRQ_EN for interrupt-driven operation.

@@ -13,6 +13,7 @@
 #include <optional>
 
 #include "sim/kernel.h"
+#include "sim/peripheral.h"
 #include "sw/codegen.h"
 #include "sw/isa.h"
 
@@ -36,6 +37,16 @@ struct MonitorLayout {
   static constexpr std::uint64_t kDegrade = 0x18;  ///< SW fallback ran
   static constexpr std::uint64_t kSize = 0x20;
 };
+
+/// Base of a generated driver's sample buffers. The driver's fixed
+/// windows all sit below it: compiler I/O and spills (from 0x1000), the
+/// IRQ flag and save area (0x4000, 0x5000), the relocated fallback I/O
+/// (from 0x6000), and the default peripheral and monitor MMIO windows
+/// (0x10000, 0x30000). A peripheral or monitor window placed higher
+/// pushes the buffers past it (see Driver::in_buffer).
+inline constexpr std::uint64_t kSampleBufferBase = 0x40000;
+static_assert(kSampleBufferBase >= kPeripheralBase + PeripheralLayout::kSize);
+static_assert(kSampleBufferBase >= kMonitorBase + MonitorLayout::kSize);
 
 /// Timeout / retry / degradation parameters of resilient drivers.
 /// Shared by the generated ISA driver (kPin/kRegister) and the analytic
@@ -76,11 +87,6 @@ struct DriverSpec {
   /// false: poll STATUS over the bus. true: enable the completion
   /// interrupt and wait on an in-memory flag set by the ISR.
   bool use_irq = false;
-  /// Memory buffers (sample-major: sample i's inputs at in_buffer+i*K*8).
-  /// The defaults hold 512 input words; the co-simulation sizes and
-  /// places its own.
-  std::uint64_t in_buffer = 0x1000;
-  std::uint64_t out_buffer = 0x2000;
   /// Completion flag written by the ISR (interrupt-driven mode).
   std::uint64_t flag_addr = 0x4000;
   /// Units of background work attempted per wait-loop iteration (the CPU
@@ -115,6 +121,13 @@ struct Driver {
   std::vector<sw::Instr> code;
   /// Entry of the interrupt service routine (interrupt-driven drivers).
   std::optional<std::size_t> isr_entry;
+  /// The sample buffers the driver streams through, sample-major (sample
+  /// i's inputs at in_buffer + 8 * i * num_inputs). generate_driver
+  /// places them at kSampleBufferBase, or past the spec's peripheral and
+  /// monitor windows when either ends higher: all inputs, then all
+  /// outputs, so no sample count can overlap the two or a window.
+  std::uint64_t in_buffer = 0;
+  std::uint64_t out_buffer = 0;
   /// Register accumulating background work units (x7).
   std::size_t background_counter_reg = 7;
 };

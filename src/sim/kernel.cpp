@@ -9,13 +9,11 @@ constexpr std::size_t kInitialBuckets = 64;
 constexpr std::uint32_t kMaxBucketShift = 16;
 }  // namespace
 
-Simulator::Simulator() : Simulator(obs::registry()) {}
-
-Simulator::Simulator(obs::Registry* sink) {
+Simulator::Simulator() {
   buckets_.resize(kInitialBuckets);
   bucket_mask_ = kInitialBuckets - 1;
-  if (sink != nullptr) {
-    event_wait_hist_ = &sink->histogram("sim.event_wait_cycles");
+  if (obs::Registry* r = obs::registry()) {
+    event_wait_hist_ = &r->histogram("sim.event_wait_cycles");
   }
 }
 

@@ -139,15 +139,12 @@ class EventFn {
 /// The event-driven simulator.
 class Simulator {
  public:
-  /// Captures the installed obs registry (like obs::Span does): when
+  /// Captures the current obs registry (like obs::Span does): when
   /// tracing is enabled, every executed event records its queue wait —
   /// cycles between scheduling and firing — into the
-  /// "sim.event_wait_cycles" histogram. With no registry installed the
+  /// "sim.event_wait_cycles" histogram. With no registry current the
   /// per-event cost is a single null check.
   Simulator();
-  /// Same, but recording into an explicit request-scoped sink instead of
-  /// the installed global registry (null = tracing disabled).
-  explicit Simulator(obs::Registry* sink);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 

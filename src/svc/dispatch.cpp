@@ -563,9 +563,11 @@ std::string Dispatcher::metrics_json() const {
      << ",\"result_cache_size\":" << num(results_.size()) << "}";
   // The obs half rides the one serialization path the obs layer owns
   // (summary_json), so /v1/metrics never drifts from the library's own
-  // rendering of the same aggregates.
+  // rendering of the same aggregates. It renders the process-wide
+  // registry every request merges into: obs::registry() would be this
+  // metrics request's own.
   obs::Summary summary;
-  if (obs::Registry* r = obs::registry()) summary = r->summary();
+  if (obs::Registry* r = obs::global_registry()) summary = r->summary();
   os << ",\"obs\":" << obs::summary_json(summary) << "}";
   return os.str();
 }
@@ -588,7 +590,7 @@ std::string Dispatcher::metrics_prometheus() const {
      << "mhs_svc_result_cache_size " << results_.size() << '\n';
   emitted.insert("mhs_svc_result_cache_size");
   obs::Summary summary;
-  if (obs::Registry* r = obs::registry()) summary = r->summary();
+  if (obs::Registry* r = obs::global_registry()) summary = r->summary();
   // The registry records svc.* counters at the same sites DispatchStats
   // counts, so their Prometheus names collide with the block above —
   // and duplicate sample names are invalid exposition format. The
@@ -612,24 +614,14 @@ std::string Dispatcher::metrics_prometheus() const {
   return os.str();
 }
 
-Response Dispatcher::evaluate(const Prepared& prep,
-                              const obs::TraceContext* trace) {
+Response Dispatcher::evaluate(const Prepared& prep) {
   Response resp;
   resp.endpoint = endpoint_name(prep.endpoint);
-  // TraceContext propagation rule: the per-request sink (may be null =
-  // untraced) is resolved here once and handed down through config
-  // fields; the library layers fall back to the global registry when it
-  // is null, so library users see no behavior change. The root "svc"
-  // span lives in handle(), which covers cache hits and coalesced
-  // followers too.
-  obs::Registry* const sink = trace != nullptr ? trace->sink : nullptr;
   try {
     switch (prep.endpoint) {
       case Endpoint::kFlow: {
-        core::FlowConfig config = prep.config;
-        config.trace_sink = sink;
         const core::FlowReport report =
-            core::run_codesign_flow(prep.graph, prep.kernels, config);
+            core::run_codesign_flow(prep.graph, prep.kernels, prep.config);
         const partition::PartitionResult& part = report.design.partition;
         std::ostringstream os;
         os << "{\"strategy\":" << str(part.algorithm)
@@ -673,7 +665,6 @@ Response Dispatcher::evaluate(const Prepared& prep,
       case Endpoint::kExplore: {
         core::Explorer::Options options;
         options.num_threads = prep.threads;
-        options.trace_sink = sink;
         core::Explorer explorer(prep.graph, prep.kernels, options);
         const core::ExploreReport report = explorer.sweep(
             {core::FlowConfig::defaults().without_cosim()}, prep.strategies,
@@ -737,7 +728,6 @@ Response Dispatcher::evaluate(const Prepared& prep,
         sreq.impl = &impl;
         sreq.samples = &samples;
         sreq.cosim = prep.cosim;
-        sreq.cosim.trace_sink = sink;
         const sim::CosimReport report = std::move(sim::run(sreq).cosim).value();
         resp.result_json = cosim_json(report, prep.samples);
         return resp;
@@ -809,16 +799,16 @@ Response Dispatcher::handle(const Request& request) {
 Response Dispatcher::handle(const Request& request,
                             const obs::TraceContext& trace,
                             RequestOutcome* outcome) {
+  // The request's scope: everything below, library layers included,
+  // records into the request's own sink.
+  const obs::ScopedSink scope(trace.sink);
   requests_.fetch_add(1, std::memory_order_relaxed);
   obs::count("svc.requests");
 
   // Every traced request gets the root "svc" span — cache hits and
   // coalesced followers included, so their traces show the (short)
   // lookup instead of coming back empty.
-  obs::Span root;
-  if (trace.sink != nullptr) {
-    root = obs::Span(trace.sink, endpoint_name(request.endpoint), "svc");
-  }
+  obs::Span root(trace.sink, endpoint_name(request.endpoint), "svc");
 
   // kHealth and kMetrics bypass the caches: they are cheap and their
   // answers change between calls.
@@ -826,7 +816,7 @@ Response Dispatcher::handle(const Request& request,
       request.endpoint == Endpoint::kMetrics) {
     Prepared prep;
     prep.endpoint = request.endpoint;
-    return evaluate(prep, &trace);
+    return evaluate(prep);
   }
 
   Prepared prep;
@@ -903,7 +893,7 @@ Response Dispatcher::handle(const Request& request,
 
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   obs::count("svc.evaluations");
-  auto shared = std::make_shared<const Response>(evaluate(prep, &trace));
+  auto shared = std::make_shared<const Response>(evaluate(prep));
   // Only successes are cached: a failed evaluation should be retryable.
   if (shared->ok() && options_.result_cache) {
     results_.get_or_compute(prep.key, [&shared] { return shared; });

@@ -33,7 +33,7 @@
 namespace mhs::svc {
 
 /// Counters of one Dispatcher's lifetime (monotonic; also mirrored to
-/// the installed obs registry as svc.* counters).
+/// the current obs registry as svc.* counters).
 struct DispatchStats {
   std::uint64_t requests = 0;     ///< handle() calls
   std::uint64_t evaluations = 0;  ///< requests that ran the library
@@ -65,13 +65,12 @@ class Dispatcher {
   Response handle(const Request& request);
 
   /// Serves one request under a trace context. When `trace.sink` is
-  /// non-null the library layers record their spans/counters into that
-  /// per-request registry instead of the global one (TraceContext
-  /// propagation rule: resolve once at the entry point, pass the
-  /// resolved pointer down explicitly — no thread-locals). `outcome`,
-  /// when non-null, receives the flight-recorder facts (cache hit /
-  /// coalesced, simulated cycles, profile buckets) regardless of how
-  /// the request was satisfied.
+  /// non-null it is the request's scope (obs::ScopedSink) for the whole
+  /// call: the svc.* counters, the root "svc" span and every span and
+  /// counter the library layers record land in that per-request
+  /// registry and nowhere else. `outcome`, when non-null, receives the
+  /// flight-recorder facts (cache hit / coalesced, simulated cycles,
+  /// profile buckets) regardless of how the request was satisfied.
   Response handle(const Request& request, const obs::TraceContext& trace,
                   RequestOutcome* outcome = nullptr);
 
@@ -83,9 +82,10 @@ class Dispatcher {
   struct Prepared;
 
   /// The /v1/metrics result object: `{"svc":{...},"obs":<summary>}`
-  /// where the summary is obs::summary_json of the installed registry —
-  /// the one serialization path shared with the obs layer (empty arrays
-  /// when tracing is disabled).
+  /// where the summary is obs::summary_json of obs::global_registry(),
+  /// the process-wide aggregate every request merges into — the one
+  /// serialization path shared with the obs layer (empty arrays when
+  /// tracing is disabled).
   std::string metrics_json() const;
 
   /// The same metrics in Prometheus text exposition format: mhs_svc_*
@@ -101,7 +101,7 @@ class Dispatcher {
     std::condition_variable cv;
   };
 
-  Response evaluate(const Prepared& prepared, const obs::TraceContext* trace);
+  Response evaluate(const Prepared& prepared);
 
   Options options_;
   std::atomic<std::uint64_t> requests_{0};

@@ -1,21 +1,11 @@
 #include "svc/recorder.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 
 #include "obs/json.h"
 
 namespace mhs::svc {
-namespace {
-
-void copy_bounded(char* dst, std::size_t dst_size, const std::string& src) {
-  const std::size_t n = std::min(src.size(), dst_size - 1);
-  std::memcpy(dst, src.data(), n);
-  dst[n] = '\0';
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t entries)
     : slots_(entries == 0 ? 1 : entries) {}
@@ -23,27 +13,9 @@ FlightRecorder::FlightRecorder(std::size_t entries)
 std::uint64_t FlightRecorder::record(const RecordedRequest& request) {
   const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq % slots_.size()];
-
-  // Seqlock publish: odd version while the payload is inconsistent.
-  const std::uint64_t v = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(v + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-
-  slot.seq = seq;
-  copy_bounded(slot.trace_id, sizeof(slot.trace_id), request.trace_id);
-  copy_bounded(slot.endpoint, sizeof(slot.endpoint), request.endpoint);
-  slot.status = request.status;
-  slot.parse_us = request.parse_us;
-  slot.queue_us = request.queue_us;
-  slot.dispatch_us = request.dispatch_us;
-  slot.respond_us = request.respond_us;
-  slot.total_us = request.total_us;
-  slot.cache_hit = request.cache_hit;
-  slot.coalesced = request.coalesced;
-  slot.total_cycles = request.total_cycles;
-  for (std::size_t i = 0; i < 6; ++i) slot.profile[i] = request.profile[i];
-
-  slot.version.store(v + 2, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(slot.mutex);
+  slot.entry = request;
+  slot.entry->seq = seq;
   return seq;
 }
 
@@ -51,28 +23,8 @@ std::vector<RecordedRequest> FlightRecorder::snapshot() const {
   std::vector<RecordedRequest> out;
   out.reserve(slots_.size());
   for (const Slot& slot : slots_) {
-    const std::uint64_t v1 = slot.version.load(std::memory_order_acquire);
-    if (v1 == 0 || (v1 & 1) != 0) continue;  // empty or mid-write
-
-    RecordedRequest r;
-    r.seq = slot.seq;
-    r.trace_id = slot.trace_id;
-    r.endpoint = slot.endpoint;
-    r.status = slot.status;
-    r.parse_us = slot.parse_us;
-    r.queue_us = slot.queue_us;
-    r.dispatch_us = slot.dispatch_us;
-    r.respond_us = slot.respond_us;
-    r.total_us = slot.total_us;
-    r.cache_hit = slot.cache_hit;
-    r.coalesced = slot.coalesced;
-    r.total_cycles = slot.total_cycles;
-    for (std::size_t i = 0; i < 6; ++i) r.profile[i] = slot.profile[i];
-
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const std::uint64_t v2 = slot.version.load(std::memory_order_relaxed);
-    if (v1 != v2) continue;  // torn: overwritten while copying
-    out.push_back(std::move(r));
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    if (slot.entry.has_value()) out.push_back(*slot.entry);
   }
   std::sort(out.begin(), out.end(),
             [](const RecordedRequest& a, const RecordedRequest& b) {

@@ -1,19 +1,22 @@
-// The serve-side flight recorder: a lock-free ring buffer retaining the
-// last N completed requests (identity, status, latency breakdown, how
-// the dispatcher satisfied the request, and the simulated work it
+// The serve-side flight recorder: a ring buffer retaining the last N
+// completed requests (identity, status, latency breakdown, how the
+// dispatcher satisfied the request, and the simulated work it
 // represents), plus the store of per-request Chrome traces behind
 // GET /v1/trace/<id>.
 //
-// FlightRecorder is a single-writer seqlock ring: the event-loop thread
-// publishes entries, and readers (GET /v1/requests, tests polling from
-// another thread) snapshot without taking any lock — a torn slot is
-// detected by its version word and skipped, never blocked on.
+// FlightRecorder is a single-writer ring with one mutex per slot: the
+// event-loop thread publishes entries, and readers (GET /v1/requests,
+// tests polling from another thread) copy each slot under its lock, so
+// every entry a snapshot returns is whole and a reader waits at most for
+// one entry copy.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,8 +45,8 @@ struct RecordedRequest {
   std::uint64_t profile[6] = {0, 0, 0, 0, 0, 0};
 };
 
-/// Lock-free ring of the last `entries` completed requests. One writer
-/// (the server's event-loop thread); any number of concurrent readers.
+/// Ring of the last `entries` completed requests. One writer (the
+/// server's event-loop thread); any number of concurrent readers.
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t entries);
@@ -56,9 +59,7 @@ class FlightRecorder {
   /// returns it).
   std::uint64_t record(const RecordedRequest& request);
 
-  /// Copies the retained entries, newest first. Slots mid-write are
-  /// skipped (seqlock), so a snapshot taken during a publish simply
-  /// misses that one in-flight entry.
+  /// Copies the retained entries, newest first.
   std::vector<RecordedRequest> snapshot() const;
 
   /// The /v1/requests result object:
@@ -72,23 +73,9 @@ class FlightRecorder {
   }
 
  private:
-  /// Fixed-size slot payload (strings flattened to bounded char arrays
-  /// so a torn read can never chase a dangling pointer).
   struct Slot {
-    std::atomic<std::uint64_t> version{0};  ///< odd while being written
-    std::uint64_t seq = 0;
-    char trace_id[24] = {};
-    char endpoint[24] = {};
-    int status = 0;
-    std::uint64_t parse_us = 0;
-    std::uint64_t queue_us = 0;
-    std::uint64_t dispatch_us = 0;
-    std::uint64_t respond_us = 0;
-    std::uint64_t total_us = 0;
-    bool cache_hit = false;
-    bool coalesced = false;
-    std::uint64_t total_cycles = 0;
-    std::uint64_t profile[6] = {0, 0, 0, 0, 0, 0};
+    mutable std::mutex mutex;
+    std::optional<RecordedRequest> entry;  ///< empty until first publish
   };
 
   std::vector<Slot> slots_;

@@ -62,12 +62,6 @@ Server::Server(ServerConfig config, TracedHandler handler)
       traces_(config_.trace_entries, config_.pinned_traces,
               config_.slow_trace_us) {}
 
-Response Server::invoke(const Request& request, const obs::TraceContext& trace,
-                        RequestOutcome* outcome) {
-  if (traced_ != nullptr) return traced_(request, trace, outcome);
-  return handler_(request);
-}
-
 Server::~Server() { stop(); }
 
 bool Server::start(std::string* error) {
@@ -177,27 +171,7 @@ void Server::worker() {
     c.trace_id = std::move(job.trace_id);
     c.parse_us = job.parse_us;
     c.queue_us = us_since(job.admitted_us);
-
-    obs::TraceContext trace;
-    trace.trace_id = c.trace_id;
-    trace.sink = job.trace_registry.get();
-    trace.start_us = job.admitted_us;
-    const double dispatch_start = obs::now_us();
-    const Response response = invoke(job.request, trace, &c.outcome);
-    c.dispatch_us = us_since(dispatch_start);
-    c.status = response.status;
-    c.endpoint = response.endpoint;
-    c.body = response.json();
-    if (job.trace_registry != nullptr) {
-      // Render the trace and fold the per-request registry into the
-      // global one here, on the worker: both are linear in the event
-      // count, and doing them on the loop thread would serialize every
-      // connection behind each completion's bookkeeping.
-      c.chrome_json = job.trace_registry->chrome_trace_json();
-      if (obs::Registry* global = obs::registry()) {
-        global->merge_from(*job.trace_registry);
-      }
-    }
+    evaluate(job.request, job.admitted_us, job.trace_registry.get(), c);
     {
       std::lock_guard<std::mutex> lock(completion_mutex_);
       completions_.push_back(std::move(c));
@@ -206,9 +180,34 @@ void Server::worker() {
   }
 }
 
-void Server::respond(int fd, Session& session, int status,
-                     const std::string& body, bool keep_alive) {
-  (void)fd;
+void Server::evaluate(const Request& request, double admitted_us,
+                      obs::Registry* trace_registry, Completion& c) {
+  obs::TraceContext trace;
+  trace.trace_id = c.trace_id;
+  trace.sink = trace_registry;
+  trace.start_us = admitted_us;
+  const double dispatch_start = obs::now_us();
+  const Response response = traced_ != nullptr
+                                ? traced_(request, trace, &c.outcome)
+                                : handler_(request);
+  c.dispatch_us = us_since(dispatch_start);
+  c.status = response.status;
+  c.endpoint = response.endpoint;
+  c.body = response.json();
+  if (trace_registry != nullptr) {
+    // Render the trace and fold the per-request registry into the
+    // process-wide one here, on the producer: both are linear in the
+    // event count, and doing them on the loop thread would serialize
+    // every connection behind each completion's bookkeeping.
+    c.chrome_json = trace_registry->chrome_trace_json();
+    if (obs::Registry* global = obs::global_registry()) {
+      global->merge_from(*trace_registry);
+    }
+  }
+}
+
+void Server::respond(Session& session, int status, const std::string& body,
+                     bool keep_alive) {
   session.outbox += http_response(status, body, keep_alive);
   session.close_after = session.close_after || !keep_alive;
   served_.fetch_add(1, std::memory_order_relaxed);
@@ -273,7 +272,7 @@ void Server::route(int fd, Session& session) {
     if (path == "/v1/requests" || trace_ref.has_value()) {
       const char* owned = trace_ref.has_value() ? "trace" : "requests";
       if (http.method != "GET") {
-        respond(fd, session, 405,
+        respond(session, 405,
                 Response::failure(405, owned, "use GET " + path).json(),
                 keep_alive);
         session.parser.reset();
@@ -324,14 +323,14 @@ void Server::route(int fd, Session& session) {
 
     const std::optional<Endpoint> endpoint = endpoint_from_path(path);
     if (!endpoint) {
-      respond(fd, session, 404,
+      respond(session, 404,
               Response::failure(404, "", "unknown path " + target).json(),
               keep_alive);
       session.parser.reset();
       continue;
     }
     if (http.method != endpoint_method(*endpoint)) {
-      respond(fd, session, 405,
+      respond(session, 405,
               Response::failure(405, endpoint_name(*endpoint),
                                 std::string("use ") +
                                     endpoint_method(*endpoint) + " " +
@@ -350,7 +349,7 @@ void Server::route(int fd, Session& session) {
       std::optional<Request> parsed =
           Request::from_json(http.body, &parse_error);
       if (!parsed) {
-        respond(fd, session, 400,
+        respond(session, 400,
                 Response::failure(400, endpoint_name(*endpoint), parse_error)
                     .json(),
                 keep_alive);
@@ -358,7 +357,7 @@ void Server::route(int fd, Session& session) {
         continue;
       }
       if (parsed->endpoint != *endpoint) {
-        respond(fd, session, 400,
+        respond(session, 400,
                 Response::failure(
                     400, endpoint_name(*endpoint),
                     std::string("body endpoint '") +
@@ -384,22 +383,7 @@ void Server::route(int fd, Session& session) {
       c.keep_alive = keep_alive;
       c.trace_id = std::move(trace_id);
       c.parse_us = parse_us;
-      obs::TraceContext trace;
-      trace.trace_id = c.trace_id;
-      trace.sink = trace_registry.get();
-      trace.start_us = admitted_us;
-      const double dispatch_start = obs::now_us();
-      const Response response = invoke(request, trace, &c.outcome);
-      c.dispatch_us = us_since(dispatch_start);
-      c.status = response.status;
-      c.endpoint = response.endpoint;
-      c.body = response.json();
-      if (trace_registry != nullptr) {
-        c.chrome_json = trace_registry->chrome_trace_json();
-        if (obs::Registry* global = obs::registry()) {
-          global->merge_from(*trace_registry);
-        }
-      }
+      evaluate(request, admitted_us, trace_registry.get(), c);
       finish(session, c);
       continue;
     }
@@ -408,7 +392,7 @@ void Server::route(int fd, Session& session) {
       std::lock_guard<std::mutex> lock(queue_mutex_);
       if (queue_.size() >= config_.max_queue) {
         overloaded_.fetch_add(1, std::memory_order_relaxed);
-        respond(fd, session, 503,
+        respond(session, 503,
                 Response::failure(503, endpoint_name(*endpoint),
                                   "server overloaded (queue full)")
                     .json(),
@@ -468,7 +452,7 @@ void Server::read_ready(int fd, Session& session, std::vector<int>& dead) {
       if (session.first_byte_us == 0.0) session.first_byte_us = obs::now_us();
       if (!session.parser.consume(std::string_view(buf, static_cast<std::size_t>(n)))) {
         parse_errors_.fetch_add(1, std::memory_order_relaxed);
-        respond(fd, session, session.parser.error_status(),
+        respond(session, session.parser.error_status(),
                 Response::failure(session.parser.error_status(), "",
                                   session.parser.error_reason())
                     .json(),

@@ -141,8 +141,8 @@ class Server {
     std::string trace_id;
     std::uint64_t parse_us = 0;
     double admitted_us = 0.0;  ///< obs-clock time route() admitted it
-    /// Per-request registry (null = untraced); travels to the worker and
-    /// back so the loop thread can render/merge it after completion.
+    /// Per-request registry (null = untraced); travels to the worker,
+    /// which records into it and renders and merges it (evaluate()).
     std::unique_ptr<obs::Registry> trace_registry;
   };
   /// One finished request on its way back to the loop thread — also the
@@ -178,14 +178,19 @@ class Server {
   /// queued on the outbox; work is dispatched inline (replay) or to the
   /// worker pool.
   void route(int fd, Session& session);
-  void respond(int fd, Session& session, int status, const std::string& body,
+  void respond(Session& session, int status, const std::string& body,
                bool keep_alive);
   /// Queues the response on the session outbox (X-Mhs-Trace stamped when
   /// the request was traced), publishes the flight-recorder entry, and
   /// stores the pre-rendered Chrome trace. Loop thread only.
   void finish(Session& session, Completion& c);
-  Response invoke(const Request& request, const obs::TraceContext& trace,
-                  RequestOutcome* outcome);
+  /// Runs the handler for one routed request under its TraceContext and
+  /// fills `c`'s dispatch time, status, endpoint, body and outcome; when
+  /// traced, also renders the Chrome trace and merges the per-request
+  /// registry into obs::global_registry(). The one completion path of
+  /// workers and of replay mode.
+  void evaluate(const Request& request, double admitted_us,
+                obs::Registry* trace_registry, Completion& c);
   void drain_completions(std::vector<int>& dead);
   void flush(int fd, Session& session, std::vector<int>& dead);
 

@@ -28,11 +28,10 @@ ir::TaskGraph small_graph(std::uint64_t seed, std::size_t n) {
   return ir::generate_task_graph(cfg, rng);
 }
 
-InterfaceDesign interface_for(const hw::HlsResult& impl,
-                              const InterfaceRequirements& reqs,
-                              const std::vector<std::vector<std::int64_t>>&
-                                  samples) {
-  AddressMapAllocator alloc;
+InterfaceDesign interface_for(
+    const hw::HlsResult& impl, const InterfaceRequirements& reqs,
+    const std::vector<std::vector<std::int64_t>>& samples,
+    AddressMapAllocator alloc = AddressMapAllocator()) {
   Request req;
   req.impl = &impl;
   req.interface_reqs = reqs;
@@ -208,6 +207,53 @@ TEST(InterfaceSynth, LatencyCriticalPicksPolling) {
   // Both evaluated candidates agree functionally.
   EXPECT_EQ(d2.candidates[0].report.checksum,
             d2.candidates[1].report.checksum);
+}
+
+TEST(InterfaceSynth, EmittedDriverBuffersHoldEverySample) {
+  // dct8 has 8 inputs: 65 samples are 520 input words, more than the 512
+  // that fit below a fixed output buffer 0x1000 bytes up.
+  const ir::Cdfg kernel = apps::dct8_kernel();
+  ASSERT_EQ(kernel.inputs().size(), 8u);
+  const hw::ComponentLibrary lib = hw::default_library();
+  hw::HlsConstraints constraints;
+  constraints.goal = hw::HlsGoal::kMinArea;
+  const hw::HlsResult impl = hw::synthesize(kernel, lib, constraints);
+  Rng rng(5);
+  std::vector<std::vector<std::int64_t>> samples(65);
+  for (std::vector<std::int64_t>& in : samples) {
+    for (std::size_t k = 0; k < kernel.inputs().size(); ++k) {
+      in.push_back(rng.uniform_int(-100, 100));
+    }
+  }
+  // The default MMIO window, and one that allocates the peripheral at
+  // kSampleBufferBase (as the default window does its 193rd peripheral):
+  // the buffers must keep clear of its registers there too.
+  for (const std::uint64_t window :
+       {std::uint64_t{0x10000}, sim::kSampleBufferBase}) {
+    const InterfaceDesign d =
+        interface_for(impl, {}, samples, AddressMapAllocator(window));
+    ASSERT_EQ(d.base_address, window);
+    const sim::Driver& driver = d.driver;
+    EXPECT_GE(driver.in_buffer, sim::kSampleBufferBase);
+    EXPECT_GE(driver.out_buffer, driver.in_buffer + 8 * 65 * 8);
+    const std::uint64_t buffers_end =
+        driver.out_buffer + 8 * 65 * kernel.outputs().size();
+    EXPECT_TRUE(buffers_end <= d.base_address ||
+                driver.in_buffer >=
+                    d.base_address + sim::PeripheralLayout::kSize)
+        << std::hex << "buffers [0x" << driver.in_buffer << ", 0x"
+        << buffers_end << ") vs peripheral 0x" << d.base_address;
+    // The emitted program streams through exactly those buffers.
+    bool loads_in = false;
+    bool loads_out = false;
+    for (const sw::Instr& instr : driver.code) {
+      if (instr.op != sw::Opcode::kLi) continue;
+      loads_in |= instr.imm == static_cast<std::int64_t>(driver.in_buffer);
+      loads_out |= instr.imm == static_cast<std::int64_t>(driver.out_buffer);
+    }
+    EXPECT_TRUE(loads_in);
+    EXPECT_TRUE(loads_out);
+  }
 }
 
 TEST(Asip, MacPatternCounter) {

@@ -4,15 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "apps/kernels.h"
 #include "apps/workloads.h"
 #include "base/concurrent_cache.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "core/explorer.h"
+#include "hw/hls.h"
 #include "ir/task_graph_gen.h"
+#include "obs/obs.h"
+#include "sim/run.h"
 
 namespace mhs::core {
 namespace {
@@ -302,6 +307,82 @@ TEST(Explorer, RepeatedPointsKeepOnlyTheFirstOnTheFrontier) {
   EXPECT_EQ(report.frontier, std::vector<std::size_t>{0});
   EXPECT_TRUE(report.points[0].on_frontier);
   EXPECT_FALSE(report.points[1].on_frontier);
+}
+
+/// The names of the spans of category `cat` in a registry.
+std::set<std::string> span_names(const obs::Registry& registry,
+                                 const std::string& cat) {
+  std::set<std::string> names;
+  for (const obs::SpanEvent& event : registry.events()) {
+    if (event.category == cat) names.insert(event.name);
+  }
+  return names;
+}
+
+TEST(Explorer, LibraryWorkRecordsIntoTheCallersScope) {
+  // The library leg of the request leak canary: under a ScopedSink, a
+  // flow, a 4-thread sweep (whose points run on pool threads) and a
+  // co-simulation record only into that sink.
+  obs::Registry global;
+  const obs::ScopedRegistry installed(global);
+  const apps::KernelBackedWorkload w = apps::dsp_chain_workload();
+
+  obs::Registry flow_sink;
+  {
+    const obs::ScopedSink scope(&flow_sink);
+    FlowConfig config;
+    config.cosim_samples = 2;
+    core::run_codesign_flow(w.graph, w.kernels, config);
+  }
+  const std::set<std::string> partitions = span_names(flow_sink, "partition");
+  EXPECT_EQ(partitions.count("kl"), 1u);
+  EXPECT_EQ(partitions.count("all_sw"), 1u);
+  EXPECT_GT(flow_sink.counter("hls.syntheses"), 0u);
+  EXPECT_EQ(flow_sink.counter("cosim.runs"), 1u);
+
+  obs::Registry sweep_sink;
+  ExploreReport report;
+  {
+    const obs::ScopedSink scope(&sweep_sink);
+    Explorer::Options options;
+    options.num_threads = 4;
+    Explorer explorer(w.graph, w.kernels, options);
+    report = explorer.sweep({FlowConfig::defaults().without_cosim()},
+                            search_strategies(), make_objectives(w.graph));
+  }
+  std::size_t point_spans = 0;
+  for (const obs::SpanEvent& event : sweep_sink.events()) {
+    if (event.category == "explorer" && event.name.rfind("point[", 0) == 0) {
+      ++point_spans;
+    }
+  }
+  EXPECT_EQ(point_spans, report.points.size());
+  EXPECT_EQ(sweep_sink.counter("explorer.points"), report.points.size());
+  EXPECT_GT(sweep_sink.counter("hls.syntheses"), 0u);
+  EXPECT_FALSE(report.report.obs.empty());
+
+  obs::Registry sim_sink;
+  {
+    const obs::ScopedSink scope(&sim_sink);
+    const ir::Cdfg kernel = apps::fir_kernel(8);
+    const hw::ComponentLibrary library = hw::default_library();
+    const hw::HlsResult impl = hw::synthesize(kernel, library, {});
+    const std::vector<std::vector<std::int64_t>> samples =
+        core::cosim_samples(kernel, 3, 7);
+    sim::SimRequest request;
+    request.impl = &impl;
+    request.samples = &samples;
+    sim::run(request);
+  }
+  EXPECT_EQ(sim_sink.counter("cosim.runs"), 1u);
+  EXPECT_EQ(sim_sink.counter("cosim.samples"), 3u);
+  EXPECT_EQ(span_names(sim_sink, "cosim").count("register"), 1u);
+
+  const obs::Summary leaked = global.summary();
+  EXPECT_EQ(global.num_events(), 0u) << leaked.table();
+  EXPECT_TRUE(leaked.counters.empty()) << leaked.table();
+  EXPECT_TRUE(leaked.hists.empty()) << leaked.table();
+  EXPECT_TRUE(leaked.gauges.empty()) << leaked.table();
 }
 
 }  // namespace

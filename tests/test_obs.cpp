@@ -981,32 +981,83 @@ TEST(ObsJson, ChromeTraceAndSummarySurviveHostileNames) {
   EXPECT_TRUE(json_parse(summary, &err).has_value()) << err.str();
 }
 
-// ----------------------------------------------------- sink-explicit APIs
+// --------------------------------------------------------- request scopes
 
-TEST(Obs, SinkExplicitHelpersTargetGivenRegistry) {
+TEST(Obs, ScopedSinkNestsRestoresAndStaysOnItsThread) {
   ASSERT_EQ(registry(), nullptr);  // no global sink installed
-  Registry r;
+  Registry global;
+  const ScopedRegistry installed(global);
+  Registry outer;
+  Registry inner;
+  Registry* seen_elsewhere = nullptr;
   {
-    Span span(&r, "explicit", "test");
-    EXPECT_TRUE(span.active());
-    count(&r, "explicit.count", 2);
-    observe(&r, "explicit.us", 7);
-    gauge(&r, "explicit.gauge", 1.0);
+    const ScopedSink outer_scope(&outer);
+    EXPECT_EQ(registry(), &outer);
+    EXPECT_EQ(global_registry(), &global);
+    count("outer.count");
+    {
+      const ScopedSink inner_scope(&inner);
+      EXPECT_EQ(registry(), &inner);
+      {
+        // A null scope changes nothing: an untraced request opened
+        // inside a traced one still records into the traced one.
+        const ScopedSink untraced(nullptr);
+        EXPECT_EQ(registry(), &inner);
+        const Span span("inner", "test");
+        EXPECT_TRUE(span.active());
+        count("inner.count", 2);
+        observe("inner.us", 7);
+        gauge("inner.gauge", 1.0);
+      }
+      EXPECT_EQ(registry(), &inner);
+      // Swapping the process-wide registry inside a scope restores the
+      // global one, never the scope's sink.
+      {
+        Registry swapped;
+        const ScopedRegistry swap(swapped);
+        EXPECT_EQ(global_registry(), &swapped);
+        EXPECT_EQ(registry(), &inner);
+      }
+      EXPECT_EQ(global_registry(), &global);
+      // The scope belongs to this thread: another thread sees the
+      // process-wide registry.
+      std::thread other([&seen_elsewhere] {
+        seen_elsewhere = registry();
+        count("other.count");
+      });
+      other.join();
+    }
+    // Leaving the inner scope restores the outer one.
+    EXPECT_EQ(registry(), &outer);
   }
-  EXPECT_EQ(r.num_events(), 1u);
-  EXPECT_EQ(r.counter("explicit.count"), 2u);
-  const Summary s = r.summary();
+  EXPECT_EQ(registry(), &global);
+  EXPECT_EQ(seen_elsewhere, &global);
+
+  EXPECT_EQ(outer.counter("outer.count"), 1u);
+  EXPECT_EQ(outer.counter("inner.count"), 0u);
+  EXPECT_EQ(outer.num_events(), 0u);
+  EXPECT_EQ(inner.num_events(), 1u);
+  EXPECT_EQ(inner.counter("inner.count"), 2u);
+  const Summary s = inner.summary();
   ASSERT_EQ(s.hists.size(), 1u);
   EXPECT_EQ(s.hists[0].count, 1u);
   ASSERT_EQ(s.gauges.size(), 1u);
+  EXPECT_EQ(global.counter("other.count"), 1u);
+  EXPECT_EQ(global.counter("inner.count"), 0u);
+  EXPECT_EQ(global.counter("outer.count"), 0u);
+  EXPECT_EQ(global.num_events(), 0u);
 
-  // A null sink with no global registry: everything is inert.
-  Span inert(static_cast<Registry*>(nullptr), "inert", "test");
-  EXPECT_FALSE(inert.active());
-  count(static_cast<Registry*>(nullptr), "inert.count", 1);
-  observe(static_cast<Registry*>(nullptr), "inert.us", 1);
-  gauge(static_cast<Registry*>(nullptr), "inert.gauge", 1.0);
-  EXPECT_EQ(r.num_events(), 1u);
+  // The sink-explicit span records into its own registry whatever the
+  // scope, and is inert on null.
+  {
+    const ScopedSink scope(&inner);
+    const Span pinned(&outer, "pinned", "test");
+    EXPECT_TRUE(pinned.active());
+    const Span inert(static_cast<Registry*>(nullptr), "inert", "test");
+    EXPECT_FALSE(inert.active());
+  }
+  EXPECT_EQ(outer.num_events(), 1u);
+  EXPECT_EQ(inner.num_events(), 1u);
 }
 
 }  // namespace

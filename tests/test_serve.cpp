@@ -12,7 +12,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -930,12 +932,31 @@ TEST(ServeObservability, MetricsServeJsonAndPrometheusForms) {
   const obs::JsonValue* svc = result->find("svc");
   ASSERT_NE(svc, nullptr);
   EXPECT_TRUE(svc->is_object());
-  EXPECT_GE(svc->find("requests")->number_or(0.0), 1.0);
+  EXPECT_EQ(svc->find("requests")->number_or(0.0), 2.0);
   const obs::JsonValue* obs_part = result->find("obs");
   ASSERT_NE(obs_part, nullptr);
   ASSERT_TRUE(obs_part->is_object());
   EXPECT_NE(obs_part->find("counters"), nullptr);
   EXPECT_NE(obs_part->find("histograms"), nullptr);
+  // The obs part is the process-wide aggregate, not the metrics
+  // request's own trace: the earlier cosim request's counters are in it.
+  // A traced request merges into it only once it completes, so the
+  // in-flight metrics request is not yet counted in svc.requests there
+  // (the svc block above counts it).
+  bool saw_cosim_runs = false;
+  bool saw_svc_requests = false;
+  for (const obs::JsonValue& counter : obs_part->find("counters")->as_array()) {
+    const std::string name = counter.find("name")->string_or("");
+    if (name == "cosim.runs") {
+      saw_cosim_runs = true;
+      EXPECT_EQ(counter.find("value")->number_or(0.0), 1.0);
+    } else if (name == "svc.requests") {
+      saw_svc_requests = true;
+      EXPECT_EQ(counter.find("value")->number_or(0.0), 1.0);
+    }
+  }
+  EXPECT_TRUE(saw_cosim_runs);
+  EXPECT_TRUE(saw_svc_requests);
 
   // Prometheus form: text exposition, every line a comment or a
   // "name[{labels}] value" sample with a parseable value.
@@ -974,6 +995,176 @@ TEST(ServeObservability, MetricsServeJsonAndPrometheusForms) {
   EXPECT_GE(samples, 1u);
   EXPECT_NE(prom->body.find("mhs_svc_requests"), std::string::npos)
       << prom->body;
+}
+
+/// The names of the spans of category `cat` in a registry.
+std::set<std::string> span_names(const obs::Registry& registry,
+                                 const std::string& cat) {
+  std::set<std::string> names;
+  for (const obs::SpanEvent& event : registry.events()) {
+    if (event.category == cat) names.insert(event.name);
+  }
+  return names;
+}
+
+TEST(ServeObservability, RequestWorkStaysInItsOwnTrace) {
+  // Everything a traced request causes, on any thread, must land in its
+  // own sink: the process-wide registry stays empty.
+  obs::Registry global;
+  obs::ScopedRegistry installed(global);
+  Dispatcher::Options options;
+  options.result_cache = false;  // every request runs the library
+  Dispatcher dispatcher(options);
+
+  std::vector<Request> requests;
+  Request flow;
+  flow.endpoint = Endpoint::kFlow;
+  flow.flow.workload = "dsp_chain";
+  flow.flow.cosimulate = true;
+  flow.flow.cosim_samples = 2;
+  requests.push_back(flow);
+  for (const std::uint64_t threads : {1, 2, 4, 8}) {
+    Request explore;
+    explore.endpoint = Endpoint::kExplore;
+    explore.explore.workload = "dsp_chain";
+    explore.explore.strategies = {"kl", "gclp", "annealed"};
+    explore.explore.threads = threads;
+    requests.push_back(explore);
+  }
+  for (const char* level : {"pin", "register", "driver", "message"}) {
+    Request cosim;
+    cosim.endpoint = Endpoint::kCosim;
+    cosim.cosim.kernel = "fir8";
+    cosim.cosim.samples = 3;
+    cosim.cosim.level = level;
+    requests.push_back(cosim);
+  }
+  Request campaign;
+  campaign.endpoint = Endpoint::kFaultCampaign;
+  campaign.cosim.kernel = "checksum8";
+  campaign.cosim.samples = 4;
+  campaign.cosim.faults.push_back({"bus_bit_flip", 0.2, 0, UINT64_MAX});
+  requests.push_back(campaign);
+  Request lint;
+  lint.endpoint = Endpoint::kLint;
+  lint.lint.artifacts = {fixture("valid_small.cdfg")};
+  lint.lint.ranges = true;
+  requests.push_back(lint);
+  Request health;
+  health.endpoint = Endpoint::kHealth;
+  requests.push_back(health);
+  Request metrics;
+  metrics.endpoint = Endpoint::kMetrics;
+  requests.push_back(metrics);
+
+  std::vector<std::unique_ptr<obs::Registry>> sinks;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    sinks.push_back(std::make_unique<obs::Registry>());
+    obs::TraceContext trace;
+    trace.trace_id = "r" + std::to_string(i);
+    trace.sink = sinks.back().get();
+    const Response response = dispatcher.handle(requests[i], trace);
+    ASSERT_EQ(response.status, 200) << response.json();
+    EXPECT_EQ(sinks.back()->counter("svc.requests"), 1u) << response.endpoint;
+    EXPECT_EQ(span_names(*sinks.back(), "svc").size(), 1u)
+        << response.endpoint;
+  }
+
+  const obs::Summary leaked = global.summary();
+  EXPECT_EQ(global.num_events(), 0u) << leaked.table();
+  EXPECT_TRUE(leaked.counters.empty()) << leaked.table();
+  EXPECT_TRUE(leaked.hists.empty()) << leaked.table();
+  EXPECT_TRUE(leaked.gauges.empty()) << leaked.table();
+
+  // The flow's partitioning (strategy and all-SW baseline) and its
+  // syntheses are in its own trace.
+  const obs::Registry& flow_trace = *sinks[0];
+  const std::set<std::string> partitions = span_names(flow_trace, "partition");
+  EXPECT_EQ(partitions.count("kl"), 1u);
+  EXPECT_EQ(partitions.count("all_sw"), 1u);
+  EXPECT_GT(flow_trace.counter("hls.syntheses"), 0u);
+  EXPECT_EQ(flow_trace.counter("cosim.runs"), 1u);
+  // Each sweep's points, whichever pool thread ran them, are in its own.
+  for (std::size_t i = 1; i <= 4; ++i) {
+    EXPECT_EQ(sinks[i]->counter("explorer.points"), 3u) << i;
+    EXPECT_EQ(sinks[i]->counter("partition.kl.runs"), 1u) << i;
+    EXPECT_GT(sinks[i]->counter("hls.syntheses"), 0u) << i;
+  }
+
+  // Over the wire: a flow's /v1/trace/<id> shows the same work.
+  ServerConfig config;
+  config.workers = 2;
+  TracedLoopback loopback(config, dispatcher);
+  ASSERT_TRUE(loopback.started);
+  std::string error;
+  const std::optional<HttpResult> posted =
+      http_post("127.0.0.1", loopback.server.port(), "/v1/flow",
+                flow.json(), &error);
+  ASSERT_TRUE(posted.has_value()) << error;
+  ASSERT_EQ(posted->status, 200) << posted->body;
+  const std::string* id = posted->header("x-mhs-trace");
+  ASSERT_NE(id, nullptr);
+  const std::optional<obs::JsonValue> trace =
+      get_parsed(loopback.server.port(), "/v1/trace/" + *id);
+  ASSERT_TRUE(trace.has_value());
+  const obs::JsonValue* chrome = trace->find("result");
+  ASSERT_NE(chrome, nullptr);
+  std::set<std::string> wire_partitions;
+  for (const obs::JsonValue& event :
+       chrome->find("traceEvents")->as_array()) {
+    const obs::JsonValue* cat = event.find("cat");
+    if (cat != nullptr && cat->string_or("") == "partition") {
+      wire_partitions.insert(event.find("name")->string_or(""));
+    }
+  }
+  EXPECT_EQ(wire_partitions.count("kl"), 1u);
+  EXPECT_EQ(wire_partitions.count("all_sw"), 1u);
+  EXPECT_GT(chrome_counter(*chrome, "hls.syntheses"), 0.0);
+}
+
+TEST(ServeObservability, RecorderSnapshotsAreWholeUnderConcurrentRecords) {
+  // One writer publishes while three readers snapshot: every entry a
+  // snapshot returns must be whole (buckets summing to total_us, the id
+  // matching the buckets), never a mix of two publishes.
+  FlightRecorder recorder(8);
+  constexpr std::uint64_t kRecords = 20000;
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> checked{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      do {
+        for (const RecordedRequest& e : recorder.snapshot()) {
+          EXPECT_EQ(e.parse_us + e.queue_us + e.dispatch_us + e.respond_us,
+                    e.total_us);
+          EXPECT_EQ(e.trace_id,
+                    "request-with-a-long-trace-id-" +
+                        std::to_string(e.parse_us));
+          EXPECT_EQ(e.seq, e.parse_us);
+          checked.fetch_add(1, std::memory_order_relaxed);
+        }
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    RecordedRequest rec;
+    rec.trace_id = "request-with-a-long-trace-id-" + std::to_string(i);
+    rec.endpoint = "cosim";
+    rec.parse_us = i;
+    rec.queue_us = 2 * i + 1;
+    rec.dispatch_us = 3 * i + 2;
+    rec.respond_us = i % 7;
+    rec.total_us = rec.parse_us + rec.queue_us + rec.dispatch_us +
+                   rec.respond_us;
+    recorder.record(rec);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GE(checked.load(), 3 * recorder.capacity());
+  const std::vector<RecordedRequest> last = recorder.snapshot();
+  ASSERT_EQ(last.size(), recorder.capacity());
+  EXPECT_EQ(last.front().seq, kRecords - 1);
+  EXPECT_EQ(recorder.recorded(), kRecords);
 }
 
 }  // namespace
