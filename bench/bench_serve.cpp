@@ -164,9 +164,15 @@ void run() {
   config.workers = kClients;
   config.max_connections = kClients + 2;
   config.max_queue = 2 * kClients;
-  svc::Server server(config, [&](const svc::Request& request) {
-    return dispatcher.handle(request);
-  });
+  // The load phases measure untraced serving; the recorder phases below
+  // switch tracing on and off themselves.
+  config.request_tracing = false;
+  svc::Server server(config,
+                     [&dispatcher](const svc::Request& request,
+                                   const obs::TraceContext& trace,
+                                   svc::RequestOutcome* outcome) {
+                       return dispatcher.handle(request, trace, outcome);
+                     });
   std::string error;
   if (!server.start(&error)) {
     rep.claim("server started on an ephemeral loopback port", false);

@@ -12,11 +12,14 @@
 //      ResilienceReport counters and the recovery-cycle cost growing.
 //
 // Everything is deterministic: the same (seed, plan) reproduces every
-// injection bit-exactly, and MHS_FAULT_SEED=<n> overrides the seed from
-// the environment to re-roll a campaign without recompiling.
+// injection bit-exactly. The campaigns' seed is CosimConfig::fault_seed;
+// this example reads MHS_FAULT_SEED=<n> to re-roll it without
+// recompiling.
 //
 // Build & run:  cmake -B build && cmake --build build
 //               ./build/examples/fault_resilience
+#include <cstdint>
+#include <cstdlib>
 #include <iostream>
 
 #include "apps/kernels.h"
@@ -38,6 +41,17 @@ mhs::sim::CosimReport accel_cosim(
   sreq.samples = &samples;
   sreq.cosim = config;
   return mhs::sim::run(sreq).cosim.value();
+}
+
+/// The campaigns' fault seed: MHS_FAULT_SEED when it holds a decimal
+/// number, else 2026.
+std::uint64_t campaign_seed() {
+  if (const char* env = std::getenv("MHS_FAULT_SEED")) {
+    char* end = nullptr;
+    const unsigned long long parsed = std::strtoull(env, &end, 10);
+    if (end != env && *end == '\0') return parsed;
+  }
+  return 2026;
 }
 
 }  // namespace
@@ -74,6 +88,7 @@ int main() {
   TextTable table({"campaign", "cycles", "checksum", "injected", "detected",
                    "recovered", "degraded", "recovery cyc"});
   std::int64_t golden = 0;
+  const std::uint64_t seed = campaign_seed();
   for (const auto& [name, plan] :
        {std::pair<const char*, const fault::FaultPlan*>{"fault-free", nullptr},
         {"mild", &mild},
@@ -81,7 +96,7 @@ int main() {
     sim::CosimConfig cfg;
     cfg.level = sim::InterfaceLevel::kRegister;
     if (plan != nullptr) cfg.fault_plan = *plan;
-    cfg.fault_seed = 2026;
+    cfg.fault_seed = seed;
     const sim::CosimReport report = accel_cosim(impl, cfg, samples);
     if (plan == nullptr) golden = report.checksum;
     const fault::ResilienceReport& r = report.resilience;

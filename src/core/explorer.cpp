@@ -11,6 +11,12 @@
 #include "opt/pareto.h"
 
 namespace mhs::core {
+namespace {
+
+/// Shards per concurrent cache of an Explorer.
+constexpr std::size_t kCacheShards = 32;
+
+}  // namespace
 
 /// One flow-configuration variant's shared state: the annotated graph,
 /// the cost model over it, and the variant's evaluation cache. Built at
@@ -30,7 +36,7 @@ Explorer::Explorer(const ir::TaskGraph& graph,
       kernels_(std::move(kernels)),
       options_(options),
       pool_(options.num_threads),
-      optimized_kernels_(options.cache_shards) {
+      optimized_kernels_(kCacheShards) {
   MHS_CHECK(kernels_.size() == graph_.num_tasks(),
             "one kernel slot per task required (use nullptr to skip)");
 }
@@ -82,7 +88,7 @@ Explorer::Context& Explorer::context(
         options_.memoize ? &estimate_cache_ : nullptr);
     ctx.model.emplace(ctx.annotated, config.library, config.comm);
     if (options_.memoize) {
-      ctx.cache = std::make_unique<partition::EvalCache>(options_.cache_shards);
+      ctx.cache = std::make_unique<partition::EvalCache>(kCacheShards);
       ctx.model->set_cache(ctx.cache.get());
     }
   });

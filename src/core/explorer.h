@@ -104,8 +104,6 @@ class Explorer {
     /// Memoize cost-model and estimator work. Off recomputes everything
     /// per point — only useful for measuring the caches themselves.
     bool memoize = true;
-    /// Shards per concurrent cache (contention knob).
-    std::size_t cache_shards = 32;
   };
 
   /// `kernels[i]` is task i's behavioural kernel (nullptr = keep the

@@ -115,7 +115,7 @@ struct FlowConfig {
   /// Fault-injection campaign for the co-simulation step. An empty (or
   /// zero-rate) plan leaves the co-simulator on its fault-free paths.
   fault::FaultPlan fault_plan;
-  /// Fault-schedule seed (MHS_FAULT_SEED overrides at run time).
+  /// Fault-schedule seed (sim::CosimConfig::fault_seed).
   std::uint64_t fault_seed = 42;
   /// Driver timeout/retry/degradation policy for fault-injection runs.
   sim::ResiliencePolicy resilience;

@@ -1,6 +1,5 @@
 #include "fault/fault.h"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "base/error.h"
@@ -252,15 +251,6 @@ std::int64_t FaultInjector::corrupt_kernel_result(std::int64_t value) {
     word ^= mask;
   }
   return static_cast<std::int64_t>(word);
-}
-
-std::uint64_t effective_seed(std::uint64_t config_seed) {
-  if (const char* env = std::getenv("MHS_FAULT_SEED")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0') return parsed;
-  }
-  return config_seed;
 }
 
 }  // namespace mhs::fault

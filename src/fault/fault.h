@@ -262,9 +262,4 @@ class FaultInjector {
   bool stuck_value_ = false;
 };
 
-/// The seed the co-simulation should use: `config_seed`, unless the
-/// MHS_FAULT_SEED environment variable is set (a decimal override that
-/// lets a whole campaign be re-seeded without recompiling).
-std::uint64_t effective_seed(std::uint64_t config_seed);
-
 }  // namespace mhs::fault

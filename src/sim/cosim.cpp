@@ -655,8 +655,7 @@ CosimReport detail::run_cosim(
   // A disabled plan hands nullptr to every hook — the entire simulation
   // then takes exactly the fault-free code paths (bit-identical results
   // and timing to a build without mhs::fault in the picture).
-  fault::FaultInjector injector(fault::effective_seed(config.fault_seed),
-                                config.fault_plan);
+  fault::FaultInjector injector(config.fault_seed, config.fault_plan);
   fault::FaultInjector* fi = injector.enabled() ? &injector : nullptr;
   CosimReport report = dispatch_cosim(impl, config, sample_inputs, fi);
   report.resilience = injector.report();

@@ -50,7 +50,7 @@ struct CosimConfig {
   fault::FaultPlan fault_plan;
   /// PRNG seed making the fault schedule reproducible: the same
   /// (seed, plan, workload) always yields the same injections, results,
-  /// and ResilienceReport. Overridable at run time via MHS_FAULT_SEED.
+  /// and ResilienceReport.
   std::uint64_t fault_seed = 42;
   /// Driver timeout/retry/degradation policy, engaged only when the
   /// fault plan is enabled.

@@ -310,6 +310,18 @@ std::optional<std::string_view> parse_trace_path(std::string_view path) {
   return id;
 }
 
+std::string profile_buckets_json(const obs::Profile& profile) {
+  static constexpr const char* kKeys[obs::Profile::kNumCategories] = {
+      "sw_execute", "bus", "dma", "peripheral_wait", "fault_recovery", "idle"};
+  std::string out;
+  for (std::size_t c = 0; c < obs::Profile::kNumCategories; ++c) {
+    if (c != 0) out += ',';
+    out += std::string("\"") + kKeys[c] + "\":" +
+           num_u64(profile.cycles(static_cast<obs::Profile::Category>(c)));
+  }
+  return out;
+}
+
 std::string Request::json() const {
   std::ostringstream os;
   os << "{\"schema_version\":1,\"endpoint\":" << quoted(endpoint_name(endpoint))

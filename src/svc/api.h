@@ -26,6 +26,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/obs.h"
+
 namespace mhs::svc {
 
 /// Every service endpoint. The five POST endpoints carry a params
@@ -71,14 +73,16 @@ std::optional<std::string_view> parse_trace_path(std::string_view path);
 struct RequestOutcome {
   bool cache_hit = false;   ///< answered from the result cache
   bool coalesced = false;   ///< piggybacked on an identical in-flight run
-  /// Total simulated cycles of the request's co-simulation (0 for
-  /// endpoints that run none).
-  std::uint64_t total_cycles = 0;
-  /// Cycle attribution of those cycles (obs::Profile bucket order:
-  /// sw_execute, bus, dma, peripheral_wait, fault_recovery, idle).
-  /// Sums exactly to total_cycles.
-  std::uint64_t profile[6] = {0, 0, 0, 0, 0, 0};
+  /// The cycle profile of the request's co-simulation, copied from the
+  /// typed sim::CosimReport (empty for requests that run none);
+  /// profile.total() is its simulated cycles.
+  obs::Profile profile;
 };
+
+/// The six cycle buckets of `profile` as JSON object members
+/// (`"sw_execute":N,...,"idle":N`, obs::Profile category order): the one
+/// spelling of the cosim result's profile and of /v1/requests entries.
+std::string profile_buckets_json(const obs::Profile& profile);
 
 // ---------------------------------------------------------------- params
 

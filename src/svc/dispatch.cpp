@@ -82,6 +82,9 @@ std::optional<ir::Cdfg> named_kernel(const std::string& name) {
   return std::nullopt;
 }
 
+/// Shards of the dispatcher's result cache.
+constexpr std::size_t kResultCacheShards = 16;
+
 // ----------------------------------------------------------- key hashing
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
@@ -129,20 +132,6 @@ std::string diagnostics_json(const analysis::Diagnostics& diags) {
   return os.str();
 }
 
-std::string profile_json(const obs::Profile& profile) {
-  std::ostringstream os;
-  os << "{\"total\":" << num(profile.total())
-     << ",\"sw_execute\":" << num(profile.cycles(obs::Profile::kSwExecute))
-     << ",\"bus\":" << num(profile.cycles(obs::Profile::kBus))
-     << ",\"dma\":" << num(profile.cycles(obs::Profile::kDma))
-     << ",\"peripheral_wait\":"
-     << num(profile.cycles(obs::Profile::kPeripheralWait))
-     << ",\"fault_recovery\":"
-     << num(profile.cycles(obs::Profile::kFaultRecovery))
-     << ",\"idle\":" << num(profile.cycles(obs::Profile::kIdle)) << "}";
-  return os.str();
-}
-
 std::string resilience_json(const fault::ResilienceReport& r) {
   std::ostringstream os;
   os << "{\"injected\":" << num(r.injected) << ",\"detected\":" << num(r.detected)
@@ -170,7 +159,8 @@ std::string cosim_json(const sim::CosimReport& r, std::size_t samples) {
      << ",\"signal_transitions\":" << num(r.signal_transitions)
      << ",\"checksum\":" << num(r.checksum)
      << ",\"hw_activations\":" << num(r.hw_activations)
-     << ",\"profile\":" << profile_json(r.profile)
+     << ",\"profile\":{\"total\":" << num(r.profile.total()) << ","
+     << profile_buckets_json(r.profile) << "}"
      << ",\"resilience\":" << resilience_json(r.resilience) << "}";
   return os.str();
 }
@@ -184,36 +174,6 @@ std::string mapping_json(const partition::Mapping& mapping) {
   }
   os << "]";
   return os.str();
-}
-
-/// Extracts the flight-recorder facts (simulated cycles + profile
-/// buckets) from a response's result JSON — one uniform path whether
-/// the response was freshly evaluated, cached, or coalesced (responses
-/// are deterministic, so the facts survive any of the three).
-void fill_outcome(const Response& resp, RequestOutcome* outcome) {
-  if (outcome == nullptr || resp.result_json.empty()) return;
-  const std::optional<obs::JsonValue> doc = obs::json_parse(resp.result_json);
-  if (!doc || !doc->is_object()) return;
-  const obs::JsonValue* report = &*doc;
-  if (const obs::JsonValue* cosim = doc->find("cosim")) {
-    if (!cosim->is_object()) return;  // flow that ran no co-simulation
-    report = cosim;
-  }
-  const obs::JsonValue* total = report->find("total_cycles");
-  const obs::JsonValue* profile = report->find("profile");
-  if (total == nullptr || !total->is_number() || profile == nullptr ||
-      !profile->is_object()) {
-    return;
-  }
-  outcome->total_cycles = static_cast<std::uint64_t>(total->as_number());
-  static constexpr const char* kBuckets[6] = {
-      "sw_execute", "bus", "dma", "peripheral_wait", "fault_recovery", "idle"};
-  for (std::size_t i = 0; i < 6; ++i) {
-    const obs::JsonValue* v = profile->find(kBuckets[i]);
-    if (v != nullptr && v->is_number()) {
-      outcome->profile[i] = static_cast<std::uint64_t>(v->as_number());
-    }
-  }
 }
 
 }  // namespace
@@ -540,7 +500,7 @@ bool prepare_lint(const LintParams& p, Dispatcher::Prepared* prep,
 // -------------------------------------------------------------- Dispatcher
 
 Dispatcher::Dispatcher(Options options)
-    : options_(options), results_(options.cache_shards) {}
+    : options_(options), results_(kResultCacheShards) {}
 
 DispatchStats Dispatcher::stats() const {
   DispatchStats s;
@@ -614,8 +574,9 @@ std::string Dispatcher::metrics_prometheus() const {
   return os.str();
 }
 
-Response Dispatcher::evaluate(const Prepared& prep) {
-  Response resp;
+Dispatcher::Evaluation Dispatcher::evaluate(const Prepared& prep) {
+  Evaluation out;
+  Response& resp = out.response;
   resp.endpoint = endpoint_name(prep.endpoint);
   try {
     switch (prep.endpoint) {
@@ -655,12 +616,13 @@ Response Dispatcher::evaluate(const Prepared& prep) {
            << diagnostics_json(report.report.diagnostics) << ",\"cosim\":";
         if (report.cosim.has_value()) {
           os << cosim_json(*report.cosim, prep.config.cosim_samples);
+          out.profile = report.cosim->profile;
         } else {
           os << "null";
         }
         os << "}";
         resp.result_json = os.str();
-        return resp;
+        return out;
       }
       case Endpoint::kExplore: {
         core::Explorer::Options options;
@@ -701,7 +663,7 @@ Response Dispatcher::evaluate(const Prepared& prep) {
         }
         os << "]}";
         resp.result_json = os.str();
-        return resp;
+        return out;
       }
       case Endpoint::kCosim:
       case Endpoint::kFaultCampaign: {
@@ -709,9 +671,8 @@ Response Dispatcher::evaluate(const Prepared& prep) {
         // not a synthesizer crash.
         const analysis::Diagnostics diags = analysis::analyze_cdfg(prep.kernel);
         if (diags.has_errors()) {
-          Response failure = Response::failure(
-              400, resp.endpoint, "kernel failed verification: " + diags.str());
-          return failure;
+          return {Response::failure(
+              400, resp.endpoint, "kernel failed verification: " + diags.str())};
         }
         hw::HlsConstraints constraints;
         constraints.goal = hw::HlsGoal::kMinArea;
@@ -730,7 +691,8 @@ Response Dispatcher::evaluate(const Prepared& prep) {
         sreq.cosim = prep.cosim;
         const sim::CosimReport report = std::move(sim::run(sreq).cosim).value();
         resp.result_json = cosim_json(report, prep.samples);
-        return resp;
+        out.profile = report.profile;
+        return out;
       }
       case Endpoint::kLint: {
         analysis::Diagnostics diags;
@@ -738,9 +700,9 @@ Response Dispatcher::evaluate(const Prepared& prep) {
           std::string artifact_error;
           if (!analyze_artifact(prep.lint.artifacts[i], &diags,
                                 &artifact_error, prep.lint.ranges)) {
-            return Response::failure(
+            return {Response::failure(
                 400, resp.endpoint,
-                "artifacts[" + std::to_string(i) + "]: " + artifact_error);
+                "artifacts[" + std::to_string(i) + "]: " + artifact_error)};
           }
         }
         // The exit-code policy of mhs_lint: errors always fail; in
@@ -762,7 +724,7 @@ Response Dispatcher::evaluate(const Prepared& prep) {
            << ",\"clean\":" << flag(diags.clean())
            << ",\"findings\":" << diags.json() << "}";
         resp.result_json = os.str();
-        return resp;
+        return out;
       }
       case Endpoint::kHealth: {
         std::ostringstream os;
@@ -776,19 +738,19 @@ Response Dispatcher::evaluate(const Prepared& prep) {
         }
         os << "]}";
         resp.result_json = os.str();
-        return resp;
+        return out;
       }
       case Endpoint::kMetrics:
         resp.result_json = metrics_json();
-        return resp;
+        return out;
     }
-    return Response::failure(500, resp.endpoint, "unhandled endpoint");
+    return {Response::failure(500, resp.endpoint, "unhandled endpoint")};
   } catch (const analysis::VerifyFailure& e) {
-    return Response::failure(400, resp.endpoint, e.what());
+    return {Response::failure(400, resp.endpoint, e.what())};
   } catch (const Error& e) {
-    return Response::failure(400, resp.endpoint, e.what());
+    return {Response::failure(400, resp.endpoint, e.what())};
   } catch (const std::exception& e) {
-    return Response::failure(500, resp.endpoint, e.what());
+    return {Response::failure(500, resp.endpoint, e.what())};
   }
 }
 
@@ -816,7 +778,7 @@ Response Dispatcher::handle(const Request& request,
       request.endpoint == Endpoint::kMetrics) {
     Prepared prep;
     prep.endpoint = request.endpoint;
-    return evaluate(prep);
+    return evaluate(prep).response;
   }
 
   Prepared prep;
@@ -852,16 +814,20 @@ Response Dispatcher::handle(const Request& request,
                              std::move(error));
   }
 
-  std::shared_ptr<const Response> cached;
+  // However the request is satisfied, its recorder facts are a copy of
+  // the evaluation's own profile.
+  const auto answer = [outcome](const Evaluation& e) {
+    if (outcome != nullptr) outcome->profile = e.profile;
+    return e.response;
+  };
+
+  std::shared_ptr<const Evaluation> cached;
   if (options_.result_cache && results_.lookup(prep.key, &cached)) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     obs::count("svc.cache.hits");
     root.arg("cache_hit", "true");
-    if (outcome != nullptr) {
-      outcome->cache_hit = true;
-      fill_outcome(*cached, outcome);
-    }
-    return *cached;
+    if (outcome != nullptr) outcome->cache_hit = true;
+    return answer(*cached);
   }
 
   // Coalesce: the first arrival of a key evaluates; concurrent
@@ -881,21 +847,18 @@ Response Dispatcher::handle(const Request& request,
     root.arg("coalesced", "true");
     std::unique_lock<std::mutex> lock(inflight_mutex_);
     flight->cv.wait(lock, [&flight] { return flight->done; });
-    if (!flight->result->ok()) {
+    if (!flight->result->response.ok()) {
       errors_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (outcome != nullptr) {
-      outcome->coalesced = true;
-      fill_outcome(*flight->result, outcome);
-    }
-    return *flight->result;
+    if (outcome != nullptr) outcome->coalesced = true;
+    return answer(*flight->result);
   }
 
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   obs::count("svc.evaluations");
-  auto shared = std::make_shared<const Response>(evaluate(prep));
+  auto shared = std::make_shared<const Evaluation>(evaluate(prep));
   // Only successes are cached: a failed evaluation should be retryable.
-  if (shared->ok() && options_.result_cache) {
+  if (shared->response.ok() && options_.result_cache) {
     results_.get_or_compute(prep.key, [&shared] { return shared; });
   }
   {
@@ -905,12 +868,11 @@ Response Dispatcher::handle(const Request& request,
     in_flight_.erase(prep.key);
   }
   flight->cv.notify_all();
-  if (!shared->ok()) {
+  if (!shared->response.ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     obs::count("svc.errors");
   }
-  fill_outcome(*shared, outcome);
-  return *shared;
+  return answer(*shared);
 }
 
 Dispatcher& default_dispatcher() {

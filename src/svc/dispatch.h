@@ -12,6 +12,11 @@
 //     shared result — the stats prove it (evaluations counts unique
 //     work, coalesced counts the riders).
 //
+// Both hold what one evaluation yields: the response and the cycle
+// profile of the co-simulation it ran, taken from the typed report. A
+// fresh, cached or coalesced request copies its flight-recorder facts
+// from that pair; the dispatcher never parses its own output.
+//
 // Responses are deterministic (no wall times), so a cached or coalesced
 // response is byte-identical to a fresh evaluation. handle() is
 // thread-safe and never throws: library failures surface as status
@@ -45,8 +50,6 @@ struct DispatchStats {
 class Dispatcher {
  public:
   struct Options {
-    /// Shards of the result cache.
-    std::size_t cache_shards = 16;
     /// Cache successful responses across requests (in-flight coalescing
     /// happens regardless). Off only for cache-measurement tests.
     bool result_cache = true;
@@ -69,8 +72,9 @@ class Dispatcher {
   /// call: the svc.* counters, the root "svc" span and every span and
   /// counter the library layers record land in that per-request
   /// registry and nowhere else. `outcome`, when non-null, receives the
-  /// flight-recorder facts (cache hit / coalesced, simulated cycles,
-  /// profile buckets) regardless of how the request was satisfied.
+  /// flight-recorder facts (cache hit / coalesced, and the cycle profile
+  /// of the co-simulation the request ran) however the request was
+  /// satisfied.
   Response handle(const Request& request, const obs::TraceContext& trace,
                   RequestOutcome* outcome = nullptr);
 
@@ -95,13 +99,19 @@ class Dispatcher {
   std::string metrics_prometheus() const;
 
  private:
+  /// What one evaluation yields: the response, and the profile of the
+  /// co-simulation it ran (empty when it ran none).
+  struct Evaluation {
+    Response response;
+    obs::Profile profile{};
+  };
   struct InFlight {
     bool done = false;
-    std::shared_ptr<const Response> result;
+    std::shared_ptr<const Evaluation> result;
     std::condition_variable cv;
   };
 
-  Response evaluate(const Prepared& prepared);
+  Evaluation evaluate(const Prepared& prepared);
 
   Options options_;
   std::atomic<std::uint64_t> requests_{0};
@@ -109,7 +119,7 @@ class Dispatcher {
   std::atomic<std::uint64_t> coalesced_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> errors_{0};
-  ConcurrentCache<std::uint64_t, std::shared_ptr<const Response>> results_;
+  ConcurrentCache<std::uint64_t, std::shared_ptr<const Evaluation>> results_;
   std::mutex inflight_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> in_flight_;
 };

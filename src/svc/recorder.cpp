@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/json.h"
+#include "svc/api.h"
 
 namespace mhs::svc {
 
@@ -49,12 +50,8 @@ std::string FlightRecorder::json() const {
        << ",\"respond_us\":" << r.respond_us << ",\"total_us\":" << r.total_us
        << ",\"cache_hit\":" << (r.cache_hit ? "true" : "false")
        << ",\"coalesced\":" << (r.coalesced ? "true" : "false")
-       << ",\"total_cycles\":" << r.total_cycles
-       << ",\"profile\":{\"sw_execute\":" << r.profile[0]
-       << ",\"bus\":" << r.profile[1] << ",\"dma\":" << r.profile[2]
-       << ",\"peripheral_wait\":" << r.profile[3]
-       << ",\"fault_recovery\":" << r.profile[4]
-       << ",\"idle\":" << r.profile[5] << "}}";
+       << ",\"total_cycles\":" << r.profile.total() << ",\"profile\":{"
+       << profile_buckets_json(r.profile) << "}}";
   }
   os << "]}";
   return os.str();

@@ -1,8 +1,8 @@
 // The serve-side flight recorder: a ring buffer retaining the last N
 // completed requests (identity, status, latency breakdown, how the
-// dispatcher satisfied the request, and the simulated work it
-// represents), plus the store of per-request Chrome traces behind
-// GET /v1/trace/<id>.
+// dispatcher satisfied the request, and the cycle profile of the
+// simulated work it represents), plus the store of per-request Chrome
+// traces behind GET /v1/trace/<id>.
 //
 // FlightRecorder is a single-writer ring with one mutex per slot: the
 // event-loop thread publishes entries, and readers (GET /v1/requests,
@@ -20,6 +20,8 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "obs/obs.h"
 
 namespace mhs::svc {
 
@@ -39,10 +41,9 @@ struct RecordedRequest {
   std::uint64_t total_us = 0;
   bool cache_hit = false;   ///< answered from the dispatcher result cache
   bool coalesced = false;   ///< rode an identical in-flight evaluation
-  std::uint64_t total_cycles = 0;  ///< simulated cycles (0 = no cosim ran)
-  /// Cycle attribution (obs::Profile bucket order: sw_execute, bus, dma,
-  /// peripheral_wait, fault_recovery, idle); sums to total_cycles.
-  std::uint64_t profile[6] = {0, 0, 0, 0, 0, 0};
+  /// The cycle profile of the request's co-simulation, as the dispatcher
+  /// reported it (RequestOutcome::profile; empty = no cosim ran).
+  obs::Profile profile;
 };
 
 /// Ring of the last `entries` completed requests. One writer (the

@@ -27,13 +27,6 @@ std::uint64_t us_since(double start_us) {
   return delta <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(delta));
 }
 
-/// The wire envelope of the server-owned endpoints (/v1/requests and
-/// /v1/trace/<id>), mirroring Response::json() field order.
-std::string envelope(const char* endpoint, const std::string& result) {
-  return std::string("{\"schema_version\":1,\"endpoint\":\"") + endpoint +
-         "\",\"status\":200,\"error\":\"\",\"result\":" + result + "}";
-}
-
 /// Best-effort blocking send of a whole buffer (used only for the tiny
 /// 503 answer to an over-limit connection).
 void send_all(int fd, std::string_view data) {
@@ -48,16 +41,9 @@ void send_all(int fd, std::string_view data) {
 
 }  // namespace
 
-Server::Server(ServerConfig config, Handler handler)
-    : config_(std::move(config)),
-      handler_(std::move(handler)),
-      recorder_(config_.recorder_entries),
-      traces_(config_.trace_entries, config_.pinned_traces,
-              config_.slow_trace_us) {}
-
 Server::Server(ServerConfig config, TracedHandler handler)
     : config_(std::move(config)),
-      traced_(std::move(handler)),
+      handler_(std::move(handler)),
       recorder_(config_.recorder_entries),
       traces_(config_.trace_entries, config_.pinned_traces,
               config_.slow_trace_us) {}
@@ -187,9 +173,7 @@ void Server::evaluate(const Request& request, double admitted_us,
   trace.sink = trace_registry;
   trace.start_us = admitted_us;
   const double dispatch_start = obs::now_us();
-  const Response response = traced_ != nullptr
-                                ? traced_(request, trace, &c.outcome)
-                                : handler_(request);
+  const Response response = handler_(request, trace, &c.outcome);
   c.dispatch_us = us_since(dispatch_start);
   c.status = response.status;
   c.endpoint = response.endpoint;
@@ -242,8 +226,7 @@ void Server::finish(Session& session, Completion& c) {
                    rec.respond_us;
     rec.cache_hit = c.outcome.cache_hit;
     rec.coalesced = c.outcome.coalesced;
-    rec.total_cycles = c.outcome.total_cycles;
-    for (std::size_t i = 0; i < 6; ++i) rec.profile[i] = c.outcome.profile[i];
+    rec.profile = std::move(c.outcome.profile);
     recorder_.record(rec);
 
     if (!c.chrome_json.empty()) {
@@ -284,17 +267,18 @@ void Server::route(int fd, Session& session) {
       c.endpoint = owned;
       c.parse_us = parse_us;
       const double dispatch_start = obs::now_us();
+      Response answer;
+      answer.endpoint = owned;
       if (!trace_ref.has_value()) {
-        c.body = envelope("requests", recorder_.json());
+        answer.result_json = recorder_.json();
       } else if (const std::string* trace = traces_.find(std::string(*trace_ref))) {
-        c.body = envelope("trace", *trace);
+        answer.result_json = *trace;
       } else {
-        c.status = 404;
-        c.body = Response::failure(404, "trace",
-                                   "unknown trace id '" +
-                                       std::string(*trace_ref) + "'")
-                     .json();
+        answer = Response::failure(
+            404, owned, "unknown trace id '" + std::string(*trace_ref) + "'");
       }
+      c.status = answer.status;
+      c.body = answer.json();
       c.dispatch_us = us_since(dispatch_start);
       session.parser.reset();
       finish(session, c);
@@ -374,7 +358,7 @@ void Server::route(int fd, Session& session) {
 
     std::string trace_id = "r" + std::to_string(next_trace_++);
     std::unique_ptr<obs::Registry> trace_registry;
-    if (traced_ != nullptr && config_.request_tracing) {
+    if (config_.request_tracing) {
       trace_registry = std::make_unique<obs::Registry>();
     }
 

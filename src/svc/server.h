@@ -64,9 +64,9 @@ struct ServerConfig {
   /// Requests at or above this end-to-end latency compete for a pinned
   /// trace seat (0 = no pinning).
   std::uint64_t slow_trace_us = 0;
-  /// Give each request its own obs::Registry (requires the traced
-  /// handler; the per-request registry is merged into the global one
-  /// after the response is queued, so aggregate metrics are unchanged).
+  /// Give each request its own obs::Registry, handed to the handler as
+  /// TraceContext::sink (merged into the global registry once the
+  /// request completes). Off: the sink is null and no trace is kept.
   bool request_tracing = true;
   /// Renders GET /v1/metrics?format=prometheus (text exposition format);
   /// unset = that query answers with the JSON form.
@@ -86,15 +86,13 @@ class Server {
  public:
   /// What evaluates a routed request — normally Dispatcher::handle
   /// bound to a dispatcher, but any callable (tests install blocking
-  /// handlers to pin the queue full).
-  using Handler = std::function<Response(const Request&)>;
-  /// The trace-aware handler shape: the server mints a TraceContext per
-  /// request (trace id + per-request registry when request_tracing is
-  /// on) and collects the RequestOutcome for the flight recorder.
+  /// handlers to pin the queue full). The server mints a TraceContext
+  /// per request (trace id, plus a per-request registry when
+  /// request_tracing is on) and collects the RequestOutcome for the
+  /// flight recorder.
   using TracedHandler = std::function<Response(
       const Request&, const obs::TraceContext&, RequestOutcome*)>;
 
-  Server(ServerConfig config, Handler handler);
   Server(ServerConfig config, TracedHandler handler);
   ~Server();
 
@@ -195,8 +193,7 @@ class Server {
   void flush(int fd, Session& session, std::vector<int>& dead);
 
   ServerConfig config_;
-  Handler handler_;
-  TracedHandler traced_;
+  TracedHandler handler_;
   int listen_fd_ = -1;
   int wake_read_ = -1;
   int wake_write_ = -1;

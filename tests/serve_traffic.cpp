@@ -150,10 +150,8 @@ TEST(ServeTraffic, MixedTrafficKeepsRecorderTracesAndMetricsConsistent) {
     EXPECT_EQ(known_endpoints.count(r.endpoint), 1u) << r.endpoint;
     if (r.cache_hit) ++cache_hits;
     if (r.endpoint == "cosim" || r.endpoint == "flow") {
-      EXPECT_GT(r.total_cycles, 0u) << r.trace_id;
-      std::uint64_t profile_sum = 0;
-      for (const std::uint64_t bucket : r.profile) profile_sum += bucket;
-      EXPECT_EQ(profile_sum, r.total_cycles) << r.trace_id;
+      EXPECT_GT(r.profile.total(), 0u) << r.trace_id;
+      EXPECT_EQ(r.profile.attributed(), r.profile.total()) << r.trace_id;
     }
   }
   // Each client repeated the fir8 cosim twice after its first answer;

@@ -5,7 +5,6 @@
 // core::Report.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <vector>
@@ -313,15 +312,6 @@ TEST(FaultInjector, DmaHooksFireAtRateOne) {
   EXPECT_TRUE(fi.drop_dma_burst());
   EXPECT_TRUE(fi.duplicate_dma_burst());
   EXPECT_EQ(fi.report().injected, 2u);
-}
-
-TEST(EffectiveSeed, EnvOverrideWinsWhenParseable) {
-  ASSERT_EQ(setenv("MHS_FAULT_SEED", "123", 1), 0);
-  EXPECT_EQ(effective_seed(42), 123u);
-  ASSERT_EQ(setenv("MHS_FAULT_SEED", "not-a-number", 1), 0);
-  EXPECT_EQ(effective_seed(42), 42u);
-  ASSERT_EQ(unsetenv("MHS_FAULT_SEED"), 0);
-  EXPECT_EQ(effective_seed(42), 42u);
 }
 
 }  // namespace
@@ -681,26 +671,6 @@ TEST(FaultCosim, DifferentSeedsScheduleDifferentFaults) {
   EXPECT_FALSE(a.resilience == b.resilience &&
                a.checksum == b.checksum &&
                a.total_cycles == b.total_cycles);
-}
-
-TEST(FaultCosim, MhsFaultSeedEnvOverridesConfigSeed) {
-  const ir::Cdfg kernel = apps::fir_kernel(4);
-  const hw::HlsResult impl = make_impl(kernel);
-  const auto samples = random_samples(kernel, 6, 11);
-  CosimConfig cfg;
-  cfg.level = InterfaceLevel::kDriver;
-  cfg.fault_plan = mixed_plan();
-  cfg.fault_seed = 1000;
-  const CosimReport direct = [&] {
-    CosimConfig c = cfg;
-    c.fault_seed = 31337;
-    return accel_cosim(impl, c, samples);
-  }();
-  ASSERT_EQ(setenv("MHS_FAULT_SEED", "31337", 1), 0);
-  const CosimReport via_env = accel_cosim(impl, cfg, samples);
-  ASSERT_EQ(unsetenv("MHS_FAULT_SEED"), 0);
-  EXPECT_EQ(via_env.resilience, direct.resilience);
-  EXPECT_EQ(via_env.checksum, direct.checksum);
 }
 
 // -------------------------------------------------------- recovery paths

@@ -2,9 +2,12 @@
 // wire-schema round trips, endpoint-vs-library bit-identical parity,
 // request coalescing and result caching (proven via dispatcher
 // counters), admission control (connection limit and queue bound 503s),
-// and malformed-request 400s, over real loopback sockets.
+// and malformed-request 400s, over real loopback sockets; plus a golden
+// of the wire bytes and flight-recorder facts of fixed requests
+// (fixtures/serve_golden.txt).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -12,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <iomanip>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -24,6 +28,7 @@
 #include "apps/workloads.h"
 #include "base/rng.h"
 #include "core/flow.h"
+#include "fault/fault.h"
 #include "hw/hls.h"
 #include "obs/json.h"
 #include "sim/cosim.h"
@@ -48,13 +53,16 @@ sim::CosimReport accel_cosim(
 }
 
 
-std::string fixture(const std::string& name) {
-  std::ifstream in(std::string(MHS_FIXTURE_DIR) + "/" + name,
-                   std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << name;
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+std::string fixture(const std::string& name) {
+  return read_file(std::string(MHS_FIXTURE_DIR) + "/" + name);
 }
 
 /// The number `path` resolves to inside a result_json document
@@ -77,6 +85,43 @@ double result_number(const Response& response, const std::string& path) {
   }
   EXPECT_TRUE(v->is_number()) << path;
   return v->as_number();
+}
+
+/// Simulated cycles followed by the six profile buckets
+/// (obs::Profile category order).
+using Cycles = std::array<std::uint64_t, 1 + obs::Profile::kNumCategories>;
+
+Cycles cycles_of(const obs::Profile& profile) {
+  Cycles out{profile.total()};
+  for (std::size_t c = 0; c < obs::Profile::kNumCategories; ++c) {
+    out[1 + c] = profile.cycles(static_cast<obs::Profile::Category>(c));
+  }
+  return out;
+}
+
+/// The cycles a response body reports: a flow's nested "cosim" object,
+/// or the result itself for cosim and fault-campaign replies. All zero
+/// when the body carries no co-simulation.
+Cycles body_cycles(const Response& response) {
+  Cycles out{};
+  const std::optional<obs::JsonValue> doc =
+      obs::json_parse(response.result_json);
+  if (!doc.has_value()) return out;
+  const obs::JsonValue* report = &*doc;
+  if (const obs::JsonValue* cosim = doc->find("cosim")) report = cosim;
+  const obs::JsonValue* profile = report->find("profile");
+  if (profile == nullptr) return out;
+  static constexpr const char* kKeys[] = {
+      "total", "sw_execute", "bus", "dma", "peripheral_wait",
+      "fault_recovery", "idle"};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const obs::JsonValue* v = profile->find(kKeys[i]);
+    EXPECT_TRUE(v != nullptr && v->is_number()) << kKeys[i];
+    if (v != nullptr) out[i] = static_cast<std::uint64_t>(v->number_or(0.0));
+  }
+  EXPECT_EQ(report->find("total_cycles")->number_or(-1.0),
+            static_cast<double>(out[0]));
+  return out;
 }
 
 // ------------------------------------------------------------ wire schema
@@ -330,15 +375,19 @@ TEST(ServeDispatch, ConcurrentIdenticalRequestsCoalesceToOneEvaluation) {
   Request request;
   request.endpoint = Endpoint::kFlow;
   request.flow.workload = "dsp_chain";
-  // Co-simulation and annealed partitioning keep the leader's
-  // evaluation in flight (~20 ms) long enough that the barrier-released
-  // riders reliably land on it, even while other suites compete for
-  // the cores.
+  // Annealed partitioning and a long pin-level co-simulation keep the
+  // leader's evaluation in flight (~45 ms on a 4-vCPU box) long enough
+  // that the barrier-released riders reliably land on it. A woken rider
+  // can wait 4-10 ms for a core: the scheduler may queue it behind the
+  // thread that woke it, and that thread may be the leader.
   request.flow.cosimulate = true;
+  request.flow.cosim_level = "pin";
+  request.flow.cosim_samples = 2048;
   request.flow.strategy = "annealed";
 
   constexpr std::size_t kClients = 6;
   std::vector<Response> responses(kClients);
+  std::vector<RequestOutcome> outcomes(kClients);
   std::vector<std::thread> threads;
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
@@ -351,7 +400,8 @@ TEST(ServeDispatch, ConcurrentIdenticalRequestsCoalesceToOneEvaluation) {
         gate_cv.notify_all();
         gate_cv.wait(lock, [&] { return arrived == kClients; });
       }
-      responses[i] = dispatcher.handle(request);
+      responses[i] =
+          dispatcher.handle(request, obs::TraceContext{}, &outcomes[i]);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -365,6 +415,18 @@ TEST(ServeDispatch, ConcurrentIdenticalRequestsCoalesceToOneEvaluation) {
   EXPECT_EQ(stats.evaluations, 1u);
   EXPECT_EQ(stats.coalesced, kClients - 1);
   EXPECT_EQ(stats.cache_hits, 0u);
+
+  // Every rider reports that it coalesced and carries the leader's
+  // profile, which is the one its body reports.
+  const Cycles body = body_cycles(responses[0]);
+  EXPECT_GT(body[0], 0u);
+  std::size_t riders = 0;
+  for (const RequestOutcome& outcome : outcomes) {
+    EXPECT_FALSE(outcome.cache_hit);
+    if (outcome.coalesced) ++riders;
+    EXPECT_EQ(cycles_of(outcome.profile), body);
+  }
+  EXPECT_EQ(riders, kClients - 1);
 }
 
 // -------------------------------------------- dispatcher: error mapping
@@ -428,15 +490,84 @@ TEST(ServeDispatch, UnknownCosimLevelIsA400) {
   }
 }
 
+TEST(ServeDispatch, FaultCampaignHonoursItsSeedWhileMhsFaultSeedIsSet) {
+  // MHS_FAULT_SEED belongs to the fault example and the fault fuzzer,
+  // not to the library: a campaign's fault_seed picks its schedule
+  // whatever the environment holds.
+  struct UnsetOnExit {
+    ~UnsetOnExit() { unsetenv("MHS_FAULT_SEED"); }
+  } unset_on_exit;
+  ASSERT_EQ(unsetenv("MHS_FAULT_SEED"), 0);
+
+  Request request;
+  request.endpoint = Endpoint::kFaultCampaign;
+  request.cosim.kernel = "checksum8";
+  request.cosim.level = "driver";
+  request.cosim.faults.push_back({"bus_bit_flip", 0.2, 0, UINT64_MAX});
+  request.cosim.faults.push_back({"peripheral_stall", 0.3, 40, UINT64_MAX});
+
+  // Direct sim::run references, on the recipe the service runs.
+  const ir::Cdfg kernel = apps::checksum_kernel(8);
+  hw::HlsConstraints constraints;
+  constraints.goal = hw::HlsGoal::kMinArea;
+  const hw::ComponentLibrary library = hw::default_library();
+  const hw::HlsResult impl = hw::synthesize(kernel, library, constraints);
+  const auto samples =
+      core::cosim_samples(kernel, request.cosim.samples, request.cosim.seed);
+  const auto reference = [&](std::uint64_t seed) {
+    sim::CosimConfig cfg;
+    cfg.level = sim::InterfaceLevel::kDriver;
+    cfg.fault_plan.add(fault::FaultSpec::bus_bit_flip(0.2, /*bit=*/0))
+        .add(fault::FaultSpec::peripheral_stall(0.3, 40));
+    cfg.fault_seed = seed;
+    return accel_cosim(impl, cfg, samples);
+  };
+  const std::uint64_t seeds[2] = {5, 6};
+  const sim::CosimReport want[2] = {reference(seeds[0]), reference(seeds[1])};
+  ASSERT_FALSE(want[0].resilience == want[1].resilience &&
+               want[0].checksum == want[1].checksum);
+
+  ASSERT_EQ(setenv("MHS_FAULT_SEED", "31337", 1), 0);
+  Dispatcher dispatcher;
+  for (std::size_t i = 0; i < 2; ++i) {
+    Request seeded = request;
+    seeded.cosim.fault_seed = seeds[i];
+    const Response response = dispatcher.handle(seeded);
+    ASSERT_TRUE(response.ok()) << response.error;
+    const fault::ResilienceReport& r = want[i].resilience;
+    EXPECT_NE(response.result_json.find(
+                  "\"checksum\":" + std::to_string(want[i].checksum) + ","),
+              std::string::npos)
+        << "seed " << seeds[i] << ": " << response.result_json;
+    EXPECT_EQ(result_number(response, "resilience.injected"), r.injected);
+    EXPECT_EQ(result_number(response, "resilience.detected"), r.detected);
+    EXPECT_EQ(result_number(response, "resilience.recovered"), r.recovered);
+    EXPECT_EQ(result_number(response, "resilience.retries"), r.retries);
+    EXPECT_EQ(result_number(response, "resilience.degradations"),
+              r.degradations);
+    EXPECT_EQ(result_number(response, "resilience.recovery_cycles"),
+              r.recovery_cycles);
+  }
+}
+
 // --------------------------------------------- server over real sockets
 
+/// A Server started on an ephemeral loopback port. The Dispatcher form
+/// wires Dispatcher::handle through the handler shape the daemon uses.
 struct LoopbackServer {
-  explicit LoopbackServer(ServerConfig config, Server::Handler handler)
+  LoopbackServer(ServerConfig config, Server::TracedHandler handler)
       : server(std::move(config), std::move(handler)) {
     std::string error;
     started = server.start(&error);
     EXPECT_TRUE(started) << error;
   }
+  LoopbackServer(ServerConfig config, Dispatcher& dispatcher)
+      : LoopbackServer(std::move(config),
+                       [&dispatcher](const Request& request,
+                                     const obs::TraceContext& trace,
+                                     RequestOutcome* outcome) {
+                         return dispatcher.handle(request, trace, outcome);
+                       }) {}
   Server server;
   bool started = false;
 };
@@ -445,9 +576,7 @@ TEST(ServeServer, EndpointsOverSocketsMatchDirectDispatch) {
   Dispatcher dispatcher;
   ServerConfig config;
   config.workers = 0;  // deterministic replay mode
-  LoopbackServer loopback(config, [&](const Request& request) {
-    return dispatcher.handle(request);
-  });
+  LoopbackServer loopback(config, dispatcher);
   ASSERT_TRUE(loopback.started);
   const std::uint16_t port = loopback.server.port();
 
@@ -525,9 +654,7 @@ TEST(ServeServer, RoutingAndParseErrorsOverSockets) {
   Dispatcher dispatcher;
   ServerConfig config;
   config.workers = 0;
-  LoopbackServer loopback(config, [&](const Request& request) {
-    return dispatcher.handle(request);
-  });
+  LoopbackServer loopback(config, dispatcher);
   ASSERT_TRUE(loopback.started);
   const std::uint16_t port = loopback.server.port();
   HttpClient client("127.0.0.1", port);
@@ -572,7 +699,8 @@ TEST(ServeServer, QueueBoundAnswers503WithoutQueueing) {
   ServerConfig config;
   config.workers = 1;
   config.max_queue = 1;
-  LoopbackServer loopback(config, [&](const Request&) {
+  LoopbackServer loopback(config, [&](const Request&, const obs::TraceContext&,
+                                      RequestOutcome*) {
     entered.fetch_add(1);
     released.wait();
     Response response;
@@ -634,9 +762,7 @@ TEST(ServeServer, ConnectionLimitAnswers503AtAccept) {
   ServerConfig config;
   config.workers = 0;
   config.max_connections = 1;
-  LoopbackServer loopback(config, [&](const Request& request) {
-    return dispatcher.handle(request);
-  });
+  LoopbackServer loopback(config, dispatcher);
   ASSERT_TRUE(loopback.started);
   const std::uint16_t port = loopback.server.port();
 
@@ -673,24 +799,6 @@ TEST(ServeServer, ConnectionLimitAnswers503AtAccept) {
 }
 
 // ---------------------------------------------------------- observability
-
-/// LoopbackServer's trace-aware twin: wires Dispatcher::handle through
-/// the TracedHandler shape the daemon uses.
-struct TracedLoopback {
-  explicit TracedLoopback(ServerConfig config, Dispatcher& dispatcher)
-      : server(std::move(config),
-               [&dispatcher](const Request& request,
-                             const obs::TraceContext& trace,
-                             RequestOutcome* outcome) {
-                 return dispatcher.handle(request, trace, outcome);
-               }) {
-    std::string error;
-    started = server.start(&error);
-    EXPECT_TRUE(started) << error;
-  }
-  Server server;
-  bool started = false;
-};
 
 /// GETs `target` and parses the response body; nullopt (with a failed
 /// expectation) on transport or parse trouble.
@@ -748,7 +856,7 @@ TEST(ServeObservability, ConcurrentCosimTracesAreDisjoint) {
   Dispatcher dispatcher;
   ServerConfig config;
   config.workers = 2;  // both requests genuinely evaluate concurrently
-  TracedLoopback loopback(config, dispatcher);
+  LoopbackServer loopback(config, dispatcher);
   ASSERT_TRUE(loopback.started);
   const std::uint16_t port = loopback.server.port();
 
@@ -883,7 +991,7 @@ TEST(ServeObservability, TraceEndpointErrorsAndUnknownIds) {
   Dispatcher dispatcher;
   ServerConfig config;
   config.workers = 0;
-  TracedLoopback loopback(config, dispatcher);
+  LoopbackServer loopback(config, dispatcher);
   ASSERT_TRUE(loopback.started);
   const std::uint16_t port = loopback.server.port();
 
@@ -908,7 +1016,7 @@ TEST(ServeObservability, MetricsServeJsonAndPrometheusForms) {
   config.metrics_text = [&dispatcher] {
     return dispatcher.metrics_prometheus();
   };
-  TracedLoopback loopback(config, dispatcher);
+  LoopbackServer loopback(config, dispatcher);
   ASSERT_TRUE(loopback.started);
   const std::uint16_t port = loopback.server.port();
 
@@ -1094,7 +1202,7 @@ TEST(ServeObservability, RequestWorkStaysInItsOwnTrace) {
   // Over the wire: a flow's /v1/trace/<id> shows the same work.
   ServerConfig config;
   config.workers = 2;
-  TracedLoopback loopback(config, dispatcher);
+  LoopbackServer loopback(config, dispatcher);
   ASSERT_TRUE(loopback.started);
   std::string error;
   const std::optional<HttpResult> posted =
@@ -1165,6 +1273,176 @@ TEST(ServeObservability, RecorderSnapshotsAreWholeUnderConcurrentRecords) {
   ASSERT_EQ(last.size(), recorder.capacity());
   EXPECT_EQ(last.front().seq, kRecords - 1);
   EXPECT_EQ(recorder.recorded(), kRecords);
+}
+
+// --------------------------------------------- wire + recorder golden
+
+/// The golden's fixed requests, labelled: every cached endpoint, every
+/// co-simulation level, health, and the 400 paths. Requests that fail an
+/// MHS_CHECK are left out: its message names the source file and line,
+/// so the bytes would depend on where the tree is checked out.
+std::vector<std::pair<std::string, Request>> golden_requests() {
+  std::vector<std::pair<std::string, Request>> out;
+  const auto add = [&out](std::string label, Endpoint endpoint) -> Request& {
+    out.emplace_back(std::move(label), Request{});
+    out.back().second.endpoint = endpoint;
+    return out.back().second;
+  };
+  const char* const levels[] = {"pin", "register", "driver", "message"};
+
+  add("flow/dsp_chain", Endpoint::kFlow).flow.workload = "dsp_chain";
+  for (const char* level : levels) {
+    FlowParams& flow =
+        add(std::string("flow/dsp_chain/cosim_") + level, Endpoint::kFlow)
+            .flow;
+    flow.workload = "dsp_chain";
+    flow.cosimulate = true;
+    flow.cosim_level = level;
+  }
+  add("flow/jpeg_pipeline", Endpoint::kFlow).flow.workload = "jpeg_pipeline";
+
+  for (const std::uint64_t threads : {1, 4}) {
+    ExploreParams& explore =
+        add("explore/dsp_chain/threads_" + std::to_string(threads),
+            Endpoint::kExplore)
+            .explore;
+    explore.workload = "dsp_chain";
+    // Targets above zero: the hot_spot and unload points need one.
+    explore.latency_targets = {5000.0, 10000.0};
+    explore.threads = threads;
+  }
+
+  for (const char* level : levels) {
+    CosimParams& cosim =
+        add(std::string("cosim/fir8/") + level, Endpoint::kCosim).cosim;
+    cosim.kernel = "fir8";
+    cosim.level = level;
+  }
+  CosimParams& irq = add("cosim/fir8/register_irq", Endpoint::kCosim).cosim;
+  irq.kernel = "fir8";
+  irq.use_irq = true;
+
+  for (const char* level : levels) {
+    CosimParams& campaign =
+        add(std::string("fault-campaign/checksum8/") + level,
+            Endpoint::kFaultCampaign)
+            .cosim;
+    campaign.kernel = "checksum8";
+    campaign.level = level;
+    campaign.faults.push_back({"bus_bit_flip", 0.2, 0, UINT64_MAX});
+    campaign.faults.push_back({"peripheral_stall", 0.3, 40, UINT64_MAX});
+    campaign.faults.push_back({"peripheral_stall", 0.3,
+                               fault::FaultSpec::kHang, UINT64_MAX});
+  }
+
+  std::vector<std::string> examples;
+  for (const char* name : {"checksum16.cdfg", "dct8.cdfg", "ekg_monitor.pn",
+                           "fir8.cdfg", "jpeg_pipeline.tg",
+                           "packet_pipeline.pn"}) {
+    examples.push_back(read_file(std::string(MHS_EXAMPLES_IR_DIR) + "/" + name));
+  }
+  std::vector<std::string> corrupted;
+  for (const char* name :
+       {"bad_arity.cdfg", "cyclic.tg", "dangling_value.cdfg", "dup_port.cdfg",
+        "forward_ref.cdfg", "isolated_process.pn", "range_const_output.cdfg",
+        "range_dead_select.cdfg", "range_div_zero.cdfg", "range_overflow.cdfg",
+        "range_shift_oob.cdfg", "shift_range.cdfg"}) {
+    corrupted.push_back(fixture(name));
+  }
+  for (const auto& [set, artifacts] :
+       {std::pair<const char*, const std::vector<std::string>*>{"examples_ir",
+                                                               &examples},
+        {"corrupted", &corrupted}}) {
+    LintParams& strict =
+        add(std::string("lint/") + set + "/strict", Endpoint::kLint).lint;
+    strict.artifacts = *artifacts;
+    strict.strict = true;
+    LintParams& ranges =
+        add(std::string("lint/") + set + "/ranges", Endpoint::kLint).lint;
+    ranges.artifacts = *artifacts;
+    ranges.ranges = true;
+  }
+
+  add("health", Endpoint::kHealth);
+
+  add("400/flow/unknown_workload", Endpoint::kFlow).flow.workload = "teapot";
+  FlowParams& bad_strategy =
+      add("400/flow/unknown_strategy", Endpoint::kFlow).flow;
+  bad_strategy.workload = "dsp_chain";
+  bad_strategy.strategy = "guess";
+  ExploreParams& no_targets =
+      add("400/explore/no_latency_targets", Endpoint::kExplore).explore;
+  no_targets.workload = "dsp_chain";
+  no_targets.latency_targets.clear();
+  add("400/cosim/unknown_kernel", Endpoint::kCosim).cosim.kernel = "fir1024";
+  CosimParams& bad_level = add("400/cosim/unknown_level", Endpoint::kCosim).cosim;
+  bad_level.kernel = "fir8";
+  bad_level.level = "waveform";
+  CosimParams& no_samples = add("400/cosim/zero_samples", Endpoint::kCosim).cosim;
+  no_samples.kernel = "fir8";
+  no_samples.samples = 0;
+  add("400/cosim/unverified_kernel", Endpoint::kCosim).cosim.kernel_text =
+      fixture("dangling_value.cdfg");
+  CosimParams& faulty = add("400/cosim/faults", Endpoint::kCosim).cosim;
+  faulty.kernel = "fir8";
+  faulty.faults.push_back({"dma_drop", 0.1, 0, UINT64_MAX});
+  add("400/fault-campaign/no_faults", Endpoint::kFaultCampaign).cosim.kernel =
+      "fir8";
+  add("400/lint/no_artifacts", Endpoint::kLint);
+  add("400/lint/garbage_artifact", Endpoint::kLint).lint.artifacts = {
+      "%% garbage %%"};
+  return out;
+}
+
+std::string outcome_text(const RequestOutcome& outcome) {
+  std::string text = outcome.cache_hit ? "hit" : "miss";
+  if (outcome.coalesced) text += "+coalesced";
+  for (const std::uint64_t v : cycles_of(outcome.profile)) {
+    text += ':' + std::to_string(v);
+  }
+  return text;
+}
+
+/// FNV-1a over `bytes`, as 16 hex digits.
+std::string fnv1a_hex(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << h;
+  return os.str();
+}
+
+TEST(ServeGolden, WireBytesAndRecorderFactsMatchTheFixture) {
+  // One line per request, each run on its own Dispatcher: the FNV-1a
+  // hash and length of the exact Response::json() bytes, then the
+  // RequestOutcome of the fresh call and of the cached call (how it was
+  // answered, simulated cycles, six profile buckets). The fixture pins
+  // the wire output and the flight-recorder facts byte for byte; after
+  // an intended wire change, the recomputed table is the second operand
+  // of the failed comparison below.
+  std::string table;
+  for (const auto& [label, request] : golden_requests()) {
+    Dispatcher dispatcher;
+    RequestOutcome fresh;
+    RequestOutcome cached;
+    const Response first = dispatcher.handle(request, obs::TraceContext{},
+                                             &fresh);
+    const Response second = dispatcher.handle(request, obs::TraceContext{},
+                                              &cached);
+    const std::string wire = first.json();
+    EXPECT_EQ(second.json(), wire) << label;
+    // The recorder facts are the profile the body reports, however the
+    // request was answered.
+    EXPECT_EQ(cycles_of(fresh.profile), body_cycles(first)) << label;
+    EXPECT_EQ(cycles_of(cached.profile), body_cycles(second)) << label;
+    table += label + ' ' + fnv1a_hex(wire) + ' ' +
+             std::to_string(wire.size()) + ' ' + outcome_text(fresh) + ' ' +
+             outcome_text(cached) + '\n';
+  }
+  EXPECT_EQ(fixture("serve_golden.txt"), table);
 }
 
 }  // namespace
