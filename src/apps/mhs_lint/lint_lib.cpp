@@ -137,16 +137,6 @@ int serve_json(const std::vector<std::string>& files, bool strict,
 
 }  // namespace
 
-ArtifactKind sniff_artifact(const std::string& text) {
-  switch (svc::sniff_artifact(text)) {
-    case svc::ArtifactKind::kTaskGraph: return ArtifactKind::kTaskGraph;
-    case svc::ArtifactKind::kNetwork:   return ArtifactKind::kNetwork;
-    case svc::ArtifactKind::kCdfg:      return ArtifactKind::kCdfg;
-    case svc::ArtifactKind::kUnknown:   break;
-  }
-  return ArtifactKind::kUnknown;
-}
-
 int run_lint(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err) {
   bool json = false;

@@ -1,6 +1,6 @@
 // The library half of the mhs_lint CLI, split out so the argument
-// handling, artifact sniffing, and exit-code mapping are unit testable
-// without spawning the binary.
+// handling and exit-code mapping are unit testable without spawning the
+// binary.
 //
 // mhs_lint loads serialized IR artifacts (ir/serialize.h text format),
 // runs the mhs::analysis verifier and lint passes over each, and prints
@@ -13,9 +13,10 @@
 //                                        # line/column on parse errors
 //
 // The artifact type is sniffed from the first keyword of the file
-// (`taskgraph`, `network`, or `cdfg`); loading is structural
-// (validate=false), so hand-corrupted artifacts reach the verifier and
-// are reported with stable diagnostic codes instead of a parse abort.
+// (`taskgraph`, `network`, or `cdfg`; svc::sniff_artifact); loading is
+// structural (validate=false), so hand-corrupted artifacts reach the
+// verifier and are reported with stable diagnostic codes instead of a
+// parse abort.
 //
 // Exit codes: 0 — no errors (warnings allowed unless --strict);
 //             1 — at least one error diagnostic (or a warning under
@@ -33,12 +34,5 @@ namespace mhs::apps {
 /// `out` and usage/IO errors to `err`. Returns the process exit code.
 int run_lint(const std::vector<std::string>& args, std::ostream& out,
              std::ostream& err);
-
-/// The artifact type sniffed from the first keyword of serialized text.
-enum class ArtifactKind { kTaskGraph, kNetwork, kCdfg, kUnknown };
-
-/// Sniffs the artifact type: the first whitespace-delimited token must
-/// be `taskgraph`, `network`, or `cdfg`.
-ArtifactKind sniff_artifact(const std::string& text);
 
 }  // namespace mhs::apps

@@ -5,6 +5,7 @@
 #include <optional>
 #include <sstream>
 
+#include "base/parallel_for.h"
 #include "base/table.h"
 #include "ir/optimize.h"
 #include "obs/obs.h"
@@ -35,7 +36,6 @@ Explorer::Explorer(const ir::TaskGraph& graph,
     : graph_(graph),
       kernels_(std::move(kernels)),
       options_(options),
-      pool_(options.num_threads),
       optimized_kernels_(kCacheShards) {
   MHS_CHECK(kernels_.size() == graph_.num_tasks(),
             "one kernel slot per task required (use nullptr to skip)");
@@ -147,15 +147,15 @@ PointResult Explorer::evaluate_point(
 ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
                                 const std::vector<DesignPoint>& points) {
   ExploreReport report;
-  report.threads = pool_.num_threads();
+  report.threads = resolve_threads(options_.num_threads);
   // The estimate cache persists across batches; counters report this
   // batch's delta.
   const std::size_t estimate_hits_before = estimate_cache_.hits();
   const std::size_t estimate_misses_before = estimate_cache_.misses();
   const obs::Stopwatch watch;
-  // The pool's executors are not the calling thread: each task re-opens
-  // the caller's scope so its spans and counters land in the same
-  // registry as the batch's own.
+  // parallel_for's helper threads are not the calling thread: each
+  // iteration re-opens the caller's scope so its spans and counters land
+  // in the same registry as the batch's own.
   obs::Registry* const sink = obs::registry();
 
   std::vector<std::unique_ptr<Context>> contexts;
@@ -165,7 +165,7 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
   }
 
   std::vector<PointResult> results(points.size());
-  pool_.parallel_for(points.size(), [&](std::size_t i) {
+  parallel_for(options_.num_threads, points.size(), [&](std::size_t i) {
     const obs::ScopedSink scope(sink);
     results[i] = evaluate_point(points[i], i, configs, contexts);
   });

@@ -4,11 +4,11 @@
 // space under many competing factors. The Explorer makes that search the
 // first-class workload: a batch of design points — the cross product of
 // partitioning strategies, objectives, and flow-configuration variants
-// over one specification — is fanned across all cores by a work-stealing
-// thread pool, every point runs estimate → partition → co-synthesize, and
-// the results are merged deterministically (ordered by point index,
-// independent of thread scheduling) into a Pareto frontier over
-// (latency, area, evaluations).
+// over one specification — is fanned across all cores by parallel_for
+// (threads started for the batch and joined when it ends), every point
+// runs estimate → partition → co-synthesize, and the results are merged
+// deterministically (ordered by point index, independent of thread
+// scheduling) into a Pareto frontier over (latency, area, evaluations).
 //
 // Two memoization layers make the sweep cheap:
 //   * a KernelEstimateCache shares per-kernel compile/HLS estimates
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "base/concurrent_cache.h"
-#include "base/thread_pool.h"
 #include "core/flow.h"
 
 namespace mhs::core {
@@ -74,6 +73,8 @@ struct ExploreReport {
   /// minimized). Of points with equal objectives only the first is kept.
   std::vector<std::size_t> frontier;
 
+  /// Options::num_threads with 0 resolved to the core count. A batch
+  /// with fewer points starts fewer threads.
   std::size_t threads = 1;
   double wall_ms = 0.0;  ///< whole-batch wall time
   /// Cost-model memoization totals across all configuration variants.
@@ -99,7 +100,8 @@ struct ExploreReport {
 class Explorer {
  public:
   struct Options {
-    /// Total threads (the calling thread included); 0 = all cores.
+    /// Total threads per batch (the calling thread included); 0 = all
+    /// cores.
     std::size_t num_threads = 0;
     /// Memoize cost-model and estimator work. Off recomputes everything
     /// per point — only useful for measuring the caches themselves.
@@ -141,8 +143,6 @@ class Explorer {
       const std::vector<partition::Strategy>& strategies,
       const std::vector<partition::Objective>& objectives);
 
-  std::size_t num_threads() const { return pool_.num_threads(); }
-
  private:
   struct Context;
 
@@ -157,7 +157,6 @@ class Explorer {
   ir::TaskGraph graph_;
   std::vector<const ir::Cdfg*> kernels_;
   Options options_;
-  ThreadPool pool_;
   /// ir::optimize results shared across variants (keyed by kernel
   /// identity; optimization is deterministic).
   ConcurrentCache<const ir::Cdfg*, std::shared_ptr<const ir::Cdfg>>

@@ -18,10 +18,11 @@
 //
 // The current registry is the calling thread's ScopedSink when one is
 // active (one request's private registry, installed by the serving layer
-// for the request and by the Explorer for each pool task it runs on the
-// request's behalf), and the process-wide registry otherwise. So every
-// count()/observe()/gauge()/Span call records into the request that
-// caused it, with no sink parameter threaded through the layers.
+// for the request and by the Explorer for each parallel_for iteration it
+// runs on the request's behalf), and the process-wide registry
+// otherwise. So every count()/observe()/gauge()/Span call records into
+// the request that caused it, with no sink parameter threaded through
+// the layers.
 // Code that aggregates across requests names global_registry().
 //
 // Instrumentation is a no-op behind a null sink: no registry is
@@ -152,9 +153,9 @@ struct Summary {
 
 /// The summary as one JSON object — {"spans":[...],"counters":[...],
 /// "histograms":[...],"gauges":[...]} — with deterministic field order
-/// (the Summary's own sorted order). This is the one serialization path
-/// for registry aggregates: /v1/metrics and the bench reports both
-/// render through it, so they can never drift apart field-by-field.
+/// (the Summary's own sorted order). /v1/metrics renders its "obs"
+/// block through it. The bench reports do not: bench::Reporter::json()
+/// writes its own schema-v1 counters, histograms and gauges arrays.
 std::string summary_json(const Summary& summary);
 
 /// The summary in Prometheus text exposition format (version 0.0.4):
@@ -385,10 +386,10 @@ class ScopedRegistry {
 /// RAII request scope: makes `sink` the calling thread's current
 /// registry until destruction, then restores the previous scope. A null
 /// `sink` changes nothing, so a scope opened for an untraced request
-/// keeps whatever was current. The scope covers one request or one pool
-/// task, never a thread's lifetime: work handed to another thread must
-/// carry the sink (read registry() before the hand-off) and open its own
-/// scope there.
+/// keeps whatever was current. The scope covers one request or one
+/// parallel_for iteration, never a thread's lifetime: work handed to
+/// another thread must carry the sink (read registry() before the
+/// hand-off) and open its own scope there.
 class ScopedSink {
  public:
   explicit ScopedSink(Registry* sink);

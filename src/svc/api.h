@@ -131,8 +131,9 @@ struct ExploreParams {
   /// One objective per entry: its latency_target (0 = unconstrained).
   std::vector<double> latency_targets = {0.0};
   double area_weight = 0.05;
-  /// Explorer threads. Results are bit-identical at any thread count;
-  /// 1 (the default) keeps a single request from monopolizing cores.
+  /// Explorer threads, at most 64 (0 = all cores). Results are
+  /// bit-identical at any thread count; 1 (the default) keeps a single
+  /// request from monopolizing cores.
   std::uint64_t threads = 1;
 };
 

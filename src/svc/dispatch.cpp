@@ -389,6 +389,11 @@ bool prepare_explore(const ExploreParams& p, Dispatcher::Prepared* prep,
     key.number(target);
   }
   key.number(p.area_weight);
+  // threads comes off the wire, and the sweep starts up to that many.
+  if (p.threads > 64) {
+    *error = "threads exceeds the per-request limit of 64";
+    return false;
+  }
   prep->threads = static_cast<std::size_t>(p.threads);
   // Deliberately NOT keyed: results are bit-identical at any thread
   // count, so requests differing only in threads coalesce.

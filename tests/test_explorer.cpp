@@ -3,16 +3,18 @@
 // dispatcher and the base concurrency primitives it builds on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/kernels.h"
 #include "apps/workloads.h"
 #include "base/concurrent_cache.h"
 #include "base/rng.h"
-#include "base/thread_pool.h"
+#include "base/parallel_for.h"
 #include "core/explorer.h"
 #include "hw/hls.h"
 #include "ir/task_graph_gen.h"
@@ -72,47 +74,38 @@ void expect_reports_identical(const ExploreReport& a,
   EXPECT_EQ(a.frontier, b.frontier);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
+TEST(ParallelFor, CoversEveryIndexOnce) {
   std::vector<std::atomic<int>> seen(257);
-  pool.parallel_for(seen.size(), [&](std::size_t i) {
+  parallel_for(4, seen.size(), [&](std::size_t i) {
     seen[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (const std::atomic<int>& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
-TEST(ThreadPool, SingleThreadRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.num_threads(), 1u);
+TEST(ParallelFor, SingleThreadRunsInlineOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
   std::size_t sum = 0;
-  pool.parallel_for(100, [&](std::size_t i) { sum += i; });
+  std::size_t elsewhere = 0;
+  parallel_for(1, 100, [&](std::size_t i) {
+    sum += i;
+    if (std::this_thread::get_id() != caller) ++elsewhere;
+  });
   EXPECT_EQ(sum, 4950u);
-  EXPECT_EQ(pool.steals(), 0u);
+  EXPECT_EQ(elsewhere, 0u);
 }
 
-TEST(ThreadPool, ParallelForRethrowsTaskException) {
-  ThreadPool pool(3);
-  EXPECT_THROW(pool.parallel_for(
-                   16,
-                   [](std::size_t i) {
-                     if (i == 7) throw Error("task failed");
-                   }),
-               Error);
-  // The pool stays usable after a failed batch.
-  std::atomic<int> ran{0};
-  pool.parallel_for(8, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, SubmitAndWaitIdleDrains) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+TEST(ParallelFor, EveryIterationRunsAndTheExceptionIsRethrown) {
+  for (const std::size_t threads : {1u, 4u}) {
+    std::vector<std::atomic<int>> ran(16);
+    EXPECT_THROW(parallel_for(threads, ran.size(),
+                              [&](std::size_t i) {
+                                ran[i].fetch_add(1);
+                                if (i == 7) throw Error("iteration failed");
+                              }),
+                 Error)
+        << threads << " threads";
+    for (const std::atomic<int>& r : ran) EXPECT_EQ(r.load(), 1) << threads;
   }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 32);
 }
 
 TEST(ConcurrentCache, MemoizesAndCounts) {
@@ -141,9 +134,8 @@ TEST(ConcurrentCache, MemoizesAndCounts) {
 
 TEST(ConcurrentCache, ConcurrentHammerStaysConsistent) {
   ConcurrentCache<int, int> cache(8);
-  ThreadPool pool(4);
   std::atomic<int> wrong{0};
-  pool.parallel_for(512, [&](std::size_t i) {
+  parallel_for(4, 512, [&](std::size_t i) {
     const int key = static_cast<int>(i % 13);
     const int value =
         cache.get_or_compute(key, [key] { return key * 1000; });
@@ -174,16 +166,20 @@ TEST(Explorer, DeterministicAcrossThreadCounts) {
       configs.size(), search_strategies(), make_objectives(g));
   ASSERT_EQ(points.size(), 10u);
 
+  // 0 is every core; 32 is more threads than the batch has points.
+  const std::size_t cores =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
   std::vector<ExploreReport> reports;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
+  for (const std::size_t threads : {1u, 2u, 8u, 0u, 32u}) {
     Explorer::Options options;
     options.num_threads = threads;
     Explorer explorer(g, options);
     reports.push_back(explorer.explore(configs, points));
-    EXPECT_EQ(reports.back().threads, threads);
+    EXPECT_EQ(reports.back().threads, threads == 0 ? cores : threads);
   }
-  expect_reports_identical(reports[0], reports[1]);
-  expect_reports_identical(reports[0], reports[2]);
+  for (std::size_t r = 1; r < reports.size(); ++r) {
+    expect_reports_identical(reports[0], reports[r]);
+  }
   EXPECT_FALSE(reports[0].frontier.empty());
 }
 
@@ -321,7 +317,7 @@ std::set<std::string> span_names(const obs::Registry& registry,
 
 TEST(Explorer, LibraryWorkRecordsIntoTheCallersScope) {
   // The library leg of the request leak canary: under a ScopedSink, a
-  // flow, a 4-thread sweep (whose points run on pool threads) and a
+  // flow, a 4-thread sweep (whose points run on its batch threads) and a
   // co-simulation record only into that sink.
   obs::Registry global;
   const obs::ScopedRegistry installed(global);

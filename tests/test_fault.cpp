@@ -13,7 +13,7 @@
 #include "apps/workloads.h"
 #include "base/error.h"
 #include "base/rng.h"
-#include "base/thread_pool.h"
+#include "base/parallel_for.h"
 #include "core/explorer.h"
 #include "core/flow.h"
 #include "cosynth/run.h"
@@ -912,9 +912,9 @@ TEST(FaultFlow, FaultFreeFlowKeepsReportResilienceEmpty) {
 
 TEST(FaultFlow, ThreadCountDoesNotChangeResilienceResults) {
   // Determinism satellite: each run owns its injector, so a batch of
-  // faulty co-simulations spread over the explorer's thread pool at
-  // 1/2/4/8 threads must produce identical ResilienceReports, checksums,
-  // and predicted times.
+  // faulty co-simulations spread over parallel_for at 1/2/4/8 threads
+  // must produce identical ResilienceReports, checksums, and predicted
+  // times.
   const ir::Cdfg kernel = apps::fir_kernel(4);
   const hw::HlsResult impl = make_impl(kernel);
   Rng rng(19);
@@ -929,8 +929,7 @@ TEST(FaultFlow, ThreadCountDoesNotChangeResilienceResults) {
   constexpr std::size_t kRuns = 8;
   const auto run_batch = [&](std::size_t threads) {
     std::vector<sim::CosimReport> out(kRuns);
-    ThreadPool pool(threads);
-    pool.parallel_for(kRuns, [&](std::size_t i) {
+    parallel_for(threads, kRuns, [&](std::size_t i) {
       sim::CosimConfig cfg;
       cfg.level = sim::kAllInterfaceLevels[i % 4];
       cfg.fault_plan.add(fault::FaultSpec::peripheral_stall(0.4, 60))

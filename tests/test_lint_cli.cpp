@@ -10,6 +10,7 @@
 
 #include "apps/mhs_lint/lint_lib.h"
 #include "obs/json.h"
+#include "svc/artifact.h"
 
 namespace mhs::apps {
 namespace {
@@ -35,6 +36,8 @@ LintOutcome lint(const std::vector<std::string>& args) {
 }
 
 TEST(LintCli, SniffsArtifactKinds) {
+  using svc::ArtifactKind;
+  using svc::sniff_artifact;
   EXPECT_EQ(sniff_artifact("taskgraph g\nend\n"), ArtifactKind::kTaskGraph);
   EXPECT_EQ(sniff_artifact("# comment\nnetwork n\nend\n"),
             ArtifactKind::kNetwork);

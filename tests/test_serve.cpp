@@ -490,6 +490,31 @@ TEST(ServeDispatch, UnknownCosimLevelIsA400) {
   }
 }
 
+TEST(ServeDispatch, ExploreThreadsAboveTheLimitIsA400) {
+  // threads comes off the wire, and a sweep starts up to that many
+  // threads, so it is bounded like latency_targets. Within the bound the
+  // thread count changes nothing on the wire.
+  Request request;
+  request.endpoint = Endpoint::kExplore;
+  request.explore.workload = "dsp_chain";
+  request.explore.strategies = {"kl", "annealed", "gclp"};
+  request.explore.threads = 65;
+  const Response over = Dispatcher().handle(request);
+  EXPECT_EQ(over.status, 400);
+  EXPECT_NE(over.error.find("threads exceeds the per-request limit of 64"),
+            std::string::npos)
+      << over.error;
+
+  // Each on its own Dispatcher, so neither reply comes from the cache.
+  request.explore.threads = 1;
+  const Response one = Dispatcher().handle(request);
+  request.explore.threads = 64;
+  const Response at_limit = Dispatcher().handle(request);
+  ASSERT_EQ(one.status, 200) << one.error;
+  EXPECT_EQ(at_limit.status, 200) << at_limit.error;
+  EXPECT_EQ(at_limit.json(), one.json());
+}
+
 TEST(ServeDispatch, FaultCampaignHonoursItsSeedWhileMhsFaultSeedIsSet) {
   // MHS_FAULT_SEED belongs to the fault example and the fault fuzzer,
   // not to the library: a campaign's fault_seed picks its schedule
@@ -1192,7 +1217,7 @@ TEST(ServeObservability, RequestWorkStaysInItsOwnTrace) {
   EXPECT_EQ(partitions.count("all_sw"), 1u);
   EXPECT_GT(flow_trace.counter("hls.syntheses"), 0u);
   EXPECT_EQ(flow_trace.counter("cosim.runs"), 1u);
-  // Each sweep's points, whichever pool thread ran them, are in its own.
+  // Each sweep's points, whichever batch thread ran them, are in its own.
   for (std::size_t i = 1; i <= 4; ++i) {
     EXPECT_EQ(sinks[i]->counter("explorer.points"), 3u) << i;
     EXPECT_EQ(sinks[i]->counter("partition.kl.runs"), 1u) << i;

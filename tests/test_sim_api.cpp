@@ -6,7 +6,7 @@
 
 #include "apps/kernels.h"
 #include "base/rng.h"
-#include "base/thread_pool.h"
+#include "base/parallel_for.h"
 #include "sim/run.h"
 
 namespace mhs::sim {
@@ -65,8 +65,7 @@ TEST(SimRunApi, ThreadCountDoesNotChangeResults) {
   constexpr std::size_t kRuns = 8;
   const auto run_batch = [&](std::size_t threads) {
     std::vector<CosimReport> out(kRuns);
-    ThreadPool pool(threads);
-    pool.parallel_for(kRuns, [&](std::size_t i) {
+    parallel_for(threads, kRuns, [&](std::size_t i) {
       CosimConfig cfg;
       cfg.level = kAllInterfaceLevels[i % 4];
       if (i >= 4) {
