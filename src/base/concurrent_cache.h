@@ -1,12 +1,13 @@
 // Sharded, thread-safe memoization cache.
 //
-// The design-space explorer fans many partitioning runs across threads;
-// most of their cost-model and estimator work repeats (the same mapping is
-// scored under several objectives, the same kernel is estimated for every
-// configuration variant). ConcurrentCache memoizes such pure computations:
-// keys are hashed onto independently locked shards so concurrent lookups
-// of unrelated keys never contend, and hit/miss counters quantify the
-// reuse for the ExploreReport.
+// Some work repeats across threads: the design-space explorer optimizes
+// and estimates the same kernels for every configuration variant, and the
+// service answers repeated requests. ConcurrentCache memoizes such pure
+// computations: keys are hashed onto independently locked shards so
+// concurrent lookups of unrelated keys never contend, and hit/miss
+// counters quantify the reuse. A lookup takes a lock and hashes the key,
+// so it pays only for work that costs far more than that; the
+// explorer's cost-model evaluations do not.
 //
 // Values must be deterministic functions of their key: on a miss the value
 // is computed *outside* the shard lock, so two threads racing on the same
@@ -93,13 +94,6 @@ class ConcurrentCache {
   std::size_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::size_t misses() const {
     return misses_.load(std::memory_order_relaxed);
-  }
-  /// Fraction of get_or_compute calls served from the cache (0 when idle).
-  double hit_rate() const {
-    const std::size_t h = hits();
-    const std::size_t m = misses();
-    return h + m == 0 ? 0.0 : static_cast<double>(h) /
-                                  static_cast<double>(h + m);
   }
 
  private:

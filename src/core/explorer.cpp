@@ -19,16 +19,15 @@ constexpr std::size_t kCacheShards = 32;
 
 }  // namespace
 
-/// One flow-configuration variant's shared state: the annotated graph,
-/// the cost model over it, and the variant's evaluation cache. Built at
-/// most once per batch, on whichever thread needs it first.
+/// One flow-configuration variant's shared state: the annotated graph and
+/// the cost model over it. Built at most once per batch, on whichever
+/// thread needs it first.
 struct Explorer::Context {
   std::once_flag once;
   ir::TaskGraph annotated;
   /// Keeps shared optimized kernels alive for this context's lifetime.
   std::vector<std::shared_ptr<const ir::Cdfg>> keepalive;
   std::optional<partition::CostModel> model;
-  std::unique_ptr<partition::EvalCache> cache;
 };
 
 Explorer::Explorer(const ir::TaskGraph& graph,
@@ -71,26 +70,15 @@ Explorer::Context& Explorer::context(
         if (kernels[i] == nullptr) continue;
         const ir::Cdfg* original = kernels[i];
         std::shared_ptr<const ir::Cdfg> optimized =
-            options_.memoize
-                ? optimized_kernels_.get_or_compute(
-                      original,
-                      [&] {
-                        return std::make_shared<const ir::Cdfg>(
-                            ir::optimize(*original));
-                      })
-                : std::make_shared<const ir::Cdfg>(ir::optimize(*original));
+            optimized_kernels_.get_or_compute(original, [&] {
+              return std::make_shared<const ir::Cdfg>(ir::optimize(*original));
+            });
         kernels[i] = optimized.get();
         ctx.keepalive.push_back(std::move(optimized));
       }
     }
-    ctx.annotated = annotate_costs(
-        graph_, kernels, config,
-        options_.memoize ? &estimate_cache_ : nullptr);
+    ctx.annotated = annotate_costs(graph_, kernels, config, &estimate_cache_);
     ctx.model.emplace(ctx.annotated, config.library, config.comm);
-    if (options_.memoize) {
-      ctx.cache = std::make_unique<partition::EvalCache>(kCacheShards);
-      ctx.model->set_cache(ctx.cache.get());
-    }
   });
   return ctx;
 }
@@ -148,8 +136,8 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
                                 const std::vector<DesignPoint>& points) {
   ExploreReport report;
   report.threads = resolve_threads(options_.num_threads);
-  // The estimate cache persists across batches; counters report this
-  // batch's delta.
+  // The estimate cache persists across batches; the report and the
+  // counters give this batch's delta.
   const std::size_t estimate_hits_before = estimate_cache_.hits();
   const std::size_t estimate_misses_before = estimate_cache_.misses();
   const obs::Stopwatch watch;
@@ -201,30 +189,15 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
 
   for (const std::unique_ptr<Context>& ctx : contexts) {
     if (ctx->model.has_value()) ++report.contexts_built;
-    if (ctx->cache != nullptr) {
-      const partition::EvalCache::Stats stats = ctx->cache->stats();
-      report.cost_cache_hits += stats.hits;
-      report.cost_cache_misses += stats.misses;
-    }
   }
-  const std::size_t cost_total =
-      report.cost_cache_hits + report.cost_cache_misses;
-  report.cost_cache_hit_rate =
-      cost_total == 0 ? 0.0
-                      : static_cast<double>(report.cost_cache_hits) /
-                            static_cast<double>(cost_total);
-  report.estimate_cache_hits = estimate_cache_.hits();
-  report.estimate_cache_misses = estimate_cache_.misses();
+  report.estimate_cache_hits = estimate_cache_.hits() - estimate_hits_before;
+  report.estimate_cache_misses =
+      estimate_cache_.misses() - estimate_misses_before;
 
-  // Surface the cache reuse as obs counters (no-ops when disabled).
-  obs::gauge("explorer.cost_cache.hit_rate", report.cost_cache_hit_rate);
+  // Surface the batch as obs counters (no-ops when disabled).
   obs::count("explorer.points", points.size());
-  obs::count("explorer.eval_cache.hits", report.cost_cache_hits);
-  obs::count("explorer.eval_cache.misses", report.cost_cache_misses);
-  obs::count("explorer.estimate_cache.hits",
-             report.estimate_cache_hits - estimate_hits_before);
-  obs::count("explorer.estimate_cache.misses",
-             report.estimate_cache_misses - estimate_misses_before);
+  obs::count("explorer.estimate_cache.hits", report.estimate_cache_hits);
+  obs::count("explorer.estimate_cache.misses", report.estimate_cache_misses);
 
   // Summary.
   std::ostringstream os;
@@ -249,9 +222,6 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
   os << "points: " << report.points.size() << "  frontier: "
      << report.frontier.size() << "  threads: " << report.threads
      << "  wall: " << fmt(report.wall_ms, 1) << " ms\n"
-     << "cost cache: " << report.cost_cache_hits << " hits / "
-     << report.cost_cache_misses << " misses ("
-     << fmt(100.0 * report.cost_cache_hit_rate, 1) << "% hit rate)\n"
      << "estimate cache: " << report.estimate_cache_hits << " hits / "
      << report.estimate_cache_misses << " misses; variants annotated: "
      << report.contexts_built << "\n";

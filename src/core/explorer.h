@@ -10,16 +10,13 @@
 // deterministically (ordered by point index, independent of thread
 // scheduling) into a Pareto frontier over (latency, area, evaluations).
 //
-// Two memoization layers make the sweep cheap:
-//   * a KernelEstimateCache shares per-kernel compile/HLS estimates
-//     between configuration variants (annotation runs once per variant,
-//     estimators once per kernel per environment);
-//   * a partition::EvalCache per variant shares schedule-latency and
-//     hardware-area evaluations between every strategy/objective pair
-//     exploring that variant's annotated graph.
-// Cached and uncached runs produce bit-identical results; the
-// ExploreReport quantifies the reuse (hit rates) and the per-point wall
-// time.
+// Each variant is annotated once, and a KernelEstimateCache shares the
+// per-kernel compile/HLS estimates between variants, so the estimators
+// run once per kernel per environment. Partition evaluations are not
+// memoized: every point scores mappings on its variant's const,
+// allocation-free CostModel, and a cache shared by the workers cost more
+// in locking and key hashing than the evaluations it saved. The points
+// share nothing mutable.
 #pragma once
 
 #include <memory>
@@ -63,9 +60,9 @@ struct PointResult {
 };
 
 /// Everything one explore() produced. Deterministic apart from the wall
-/// times and cache statistics: points are ordered by batch index and the
-/// frontier is computed after the deterministic merge, so the mappings,
-/// metrics, and frontier are identical for every thread count.
+/// times: points are ordered by batch index and the frontier is computed
+/// after the deterministic merge, so the mappings, metrics, and frontier
+/// are identical for every thread count.
 struct ExploreReport {
   std::vector<PointResult> points;  ///< one per input point, index order
   /// Indices (into `points`) of the Pareto-optimal points, ascending
@@ -77,16 +74,18 @@ struct ExploreReport {
   /// with fewer points starts fewer threads.
   std::size_t threads = 1;
   double wall_ms = 0.0;  ///< whole-batch wall time
-  /// Cost-model memoization totals across all configuration variants.
+  /// Always 0: the Explorer attaches no partition::EvalCache. The fields
+  /// remain because perfbench's replay still reads them; they go with
+  /// EvalCache once the benchmark drops that use.
   std::size_t cost_cache_hits = 0;
   std::size_t cost_cache_misses = 0;
-  double cost_cache_hit_rate = 0.0;
-  /// Per-kernel estimator memoization (shared across variants).
+  /// This batch's kernel-estimate lookups (the cache itself persists
+  /// across batches, so a repeated batch reports only hits).
   std::size_t estimate_cache_hits = 0;
   std::size_t estimate_cache_misses = 0;
   /// Configuration variants actually annotated (≤ configs.size()).
   std::size_t contexts_built = 0;
-  /// Human-readable table of every point plus the cache statistics.
+  /// Human-readable table of every point plus the estimate-cache counts.
   std::string summary;
   /// The unified report envelope: the frontier designs in the common
   /// shape plus the obs summary when a registry was installed.
@@ -103,9 +102,6 @@ class Explorer {
     /// Total threads per batch (the calling thread included); 0 = all
     /// cores.
     std::size_t num_threads = 0;
-    /// Memoize cost-model and estimator work. Off recomputes everything
-    /// per point — only useful for measuring the caches themselves.
-    bool memoize = true;
   };
 
   /// `kernels[i]` is task i's behavioural kernel (nullptr = keep the

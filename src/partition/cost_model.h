@@ -30,15 +30,20 @@ namespace mhs::partition {
 /// A mapping: task t is in hardware iff mapping[t.index()] is true.
 using Mapping = std::vector<bool>;
 
-/// Thread-safe memoization of CostModel's expensive sub-evaluations
-/// (schedule latency and shared hardware area), keyed by the packed
-/// mapping bits. Objective weights are applied *after* the cached terms,
-/// so one cache serves every objective evaluated over the same annotated
-/// graph — the dominant sharing in a design-space sweep.
+/// Thread-safe memoization of CostModel's schedule-latency and
+/// shared-area terms, keyed by the packed mapping bits. Objective weights
+/// are applied *after* the cached terms, so one cache serves every
+/// objective evaluated over the same annotated graph.
+///
+/// No library code attaches one: since the model is flat and
+/// allocation-free, a lookup (shard mutex, heap-keyed node) costs about
+/// as much as the evaluation it saves, and the Explorer ran slower with
+/// it on more threads. Only perfbench's replay and test_partition still
+/// use it; it is deleted once the benchmark drops that use.
 ///
 /// A cache is only valid for CostModels built over the same graph
-/// annotation, library, and communication model; the explorer keeps one
-/// per configuration variant. Attach with CostModel::set_cache().
+/// annotation, library, and communication model. Attach with
+/// CostModel::set_cache().
 class EvalCache {
  public:
   explicit EvalCache(std::size_t shards = 32) : values_(shards) {}
@@ -46,16 +51,8 @@ class EvalCache {
   struct Stats {
     std::size_t hits = 0;
     std::size_t misses = 0;
-    double hit_rate() const {
-      return hits + misses == 0
-                 ? 0.0
-                 : static_cast<double>(hits) /
-                       static_cast<double>(hits + misses);
-    }
   };
   Stats stats() const { return {values_.hits(), values_.misses()}; }
-  std::size_t size() const { return values_.size(); }
-  void clear() { values_.clear(); }
 
   /// Packed mapping plus a tag discriminating which quantity is cached
   /// (area, or latency under one of the flag combinations).
@@ -157,7 +154,6 @@ class CostModel {
   /// over the identical graph annotation, library, and comm model.
   /// Cached runs return bit-identical results to uncached runs.
   void set_cache(EvalCache* cache) { cache_ = cache; }
-  EvalCache* cache() const { return cache_; }
 
   const ir::TaskGraph& graph() const { return *graph_; }
   const hw::ComponentLibrary& library() const { return lib_; }

@@ -4,9 +4,9 @@
 // memoization:
 //
 //   * a result cache (ConcurrentCache — the same machinery as the
-//     partition EvalCache) keyed by ir::content_hash of the request's IR
-//     inputs combined with a signature of its configuration, so a
-//     repeated request is answered without re-evaluating;
+//     Explorer's kernel-estimate cache) keyed by ir::content_hash of the
+//     request's IR inputs combined with a signature of its configuration,
+//     so a repeated request is answered without re-evaluating;
 //   * in-flight coalescing on the same key: when N identical requests
 //     arrive concurrently, one evaluates and the other N-1 wait for the
 //     shared result — the stats prove it (evaluations counts unique

@@ -1,6 +1,7 @@
 // Unit tests for mhs::core::Explorer — deterministic parallel design-space
-// exploration with memoized cost evaluation — plus the partition::run
-// dispatcher and the base concurrency primitives it builds on.
+// exploration, checked point by point against a serial recomputation —
+// plus the partition::run dispatcher and the base concurrency primitives
+// it builds on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "base/parallel_for.h"
 #include "core/explorer.h"
 #include "hw/hls.h"
+#include "ir/optimize.h"
 #include "ir/task_graph_gen.h"
 #include "obs/obs.h"
 #include "sim/run.h"
@@ -46,9 +48,34 @@ std::vector<partition::Strategy> search_strategies() {
           partition::Strategy::kGclp};
 }
 
+/// A 32-task generated graph with a kernel on every fourth task (four
+/// distinct bodies, so one variant's annotation already repeats them).
+apps::KernelBackedWorkload generated_workload() {
+  apps::KernelBackedWorkload w;
+  w.graph = make_graph(32);
+  w.kernel_storage = {apps::fir_kernel(8), apps::xtea_kernel(4),
+                      apps::checksum_kernel(8), apps::sad_kernel(4)};
+  w.kernels.assign(w.graph.num_tasks(), nullptr);
+  for (std::size_t t = 0; t < w.kernels.size(); t += 4) {
+    w.kernels[t] = &w.kernel_storage[(t / 4) % w.kernel_storage.size()];
+  }
+  return w;
+}
+
+/// Bit-exact equality of every Metrics field.
+void expect_metrics_identical(const partition::Metrics& a,
+                              const partition::Metrics& b) {
+  EXPECT_EQ(a.latency_cycles, b.latency_cycles);
+  EXPECT_EQ(a.hw_area, b.hw_area);
+  EXPECT_EQ(a.sw_code_bytes, b.sw_code_bytes);
+  EXPECT_EQ(a.cross_comm_cycles, b.cross_comm_cycles);
+  EXPECT_EQ(a.modifiability_penalty, b.modifiability_penalty);
+  EXPECT_EQ(a.tasks_in_hw, b.tasks_in_hw);
+  EXPECT_EQ(a.energy, b.energy);
+}
+
 /// Field-exact equality of the deterministic parts of two reports
-/// (wall times and cache statistics are scheduling-dependent and
-/// deliberately excluded).
+/// (wall times are scheduling-dependent and deliberately excluded).
 void expect_reports_identical(const ExploreReport& a,
                               const ExploreReport& b) {
   ASSERT_EQ(a.points.size(), b.points.size());
@@ -63,10 +90,7 @@ void expect_reports_identical(const ExploreReport& a,
     EXPECT_EQ(pa.partition.mapping, pb.partition.mapping);
     EXPECT_EQ(pa.partition.evaluations, pb.partition.evaluations);
     // Bit-identical metrics, not just approximately equal.
-    EXPECT_EQ(pa.partition.metrics.latency_cycles,
-              pb.partition.metrics.latency_cycles);
-    EXPECT_EQ(pa.partition.metrics.hw_area, pb.partition.metrics.hw_area);
-    EXPECT_EQ(pa.partition.metrics.energy, pb.partition.metrics.energy);
+    expect_metrics_identical(pa.partition.metrics, pb.partition.metrics);
     EXPECT_EQ(pa.all_sw_latency, pb.all_sw_latency);
     EXPECT_EQ(pa.speedup, pb.speedup);
     EXPECT_EQ(pa.on_frontier, pb.on_frontier);
@@ -183,26 +207,109 @@ TEST(Explorer, DeterministicAcrossThreadCounts) {
   EXPECT_FALSE(reports[0].frontier.empty());
 }
 
-TEST(Explorer, CachedEvaluationsAreBitIdenticalToUncached) {
-  const ir::TaskGraph g = make_graph();
-  const std::vector<FlowConfig> configs = {FlowConfig::defaults()};
-  const std::vector<DesignPoint> points = Explorer::cross_product(
-      configs.size(), search_strategies(), make_objectives(g));
+/// Recomputes every point of `report` serially from outside the Explorer
+/// — per variant ir::optimize and annotate_costs with no cache, a fresh
+/// CostModel, then partition::run per point — and requires each point to
+/// match bit for bit.
+void expect_matches_serial_recomputation(
+    const apps::KernelBackedWorkload& w, const std::vector<FlowConfig>& configs,
+    const std::vector<DesignPoint>& points, const ExploreReport& report) {
+  ASSERT_EQ(report.points.size(), points.size());
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const FlowConfig& config = configs[c];
+    std::vector<ir::Cdfg> optimized(w.kernels.size());
+    std::vector<const ir::Cdfg*> kernels = w.kernels;
+    for (std::size_t t = 0; t < kernels.size(); ++t) {
+      if (kernels[t] == nullptr || !config.optimize_kernels) continue;
+      optimized[t] = ir::optimize(*kernels[t]);
+      kernels[t] = &optimized[t];
+    }
+    const ir::TaskGraph annotated = annotate_costs(w.graph, kernels, config);
+    const partition::CostModel model(annotated, config.library, config.comm);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const DesignPoint& point = points[i];
+      if (point.config_index != c) continue;
+      SCOPED_TRACE("point " + std::to_string(i));
+      const PointResult& got = report.points[i];
+      ASSERT_TRUE(got.error.empty()) << got.error;
+      const partition::PartitionResult want = partition::run(
+          point.strategy, model, point.objective, point.options);
+      EXPECT_EQ(got.partition.mapping, want.mapping);
+      expect_metrics_identical(got.partition.metrics, want.metrics);
+      EXPECT_EQ(got.partition.evaluations, want.evaluations);
+      EXPECT_EQ(got.all_sw_latency,
+                model.schedule_latency(
+                    partition::Mapping(annotated.num_tasks(), false),
+                    point.objective.consider_concurrency,
+                    point.objective.consider_communication));
+    }
+  }
+}
 
-  Explorer::Options uncached_options;
-  uncached_options.num_threads = 1;
-  uncached_options.memoize = false;
-  Explorer uncached(g, uncached_options);
-  const ExploreReport plain = uncached.explore(configs, points);
-  EXPECT_EQ(plain.cost_cache_hits + plain.cost_cache_misses, 0u);
+TEST(Explorer, FourThreadSweepMatchesASerialRecomputation) {
+  const apps::KernelBackedWorkload dsp = apps::dsp_chain_workload();
+  const apps::KernelBackedWorkload generated = generated_workload();
+  for (const apps::KernelBackedWorkload* w : {&dsp, &generated}) {
+    SCOPED_TRACE(w->graph.name() + ", " +
+                 std::to_string(w->graph.num_tasks()) + " tasks");
+    const std::vector<FlowConfig> configs = {
+        FlowConfig::defaults().without_cosim(),
+        FlowConfig::defaults().without_cosim().without_kernel_optimization()};
+    std::vector<partition::Objective> objectives =
+        make_objectives(annotate_costs(w->graph, w->kernels, configs[0]));
+    // The serial-HW, unpriced schedule is the other latency path.
+    partition::Objective serial = objectives[0];
+    serial.consider_concurrency = false;
+    serial.consider_communication = false;
+    objectives.push_back(serial);
+    const std::vector<DesignPoint> points = Explorer::cross_product(
+        configs.size(), search_strategies(), objectives);
 
-  Explorer::Options cached_options;
-  cached_options.num_threads = 1;
-  Explorer cached(g, cached_options);
-  const ExploreReport memo = cached.explore(configs, points);
-  EXPECT_GT(memo.cost_cache_hits, 0u);
+    Explorer::Options options;
+    options.num_threads = 4;
+    Explorer explorer(w->graph, w->kernels, options);
+    const ExploreReport report = explorer.explore(configs, points);
+    EXPECT_EQ(report.threads, 4u);
+    EXPECT_EQ(report.contexts_built, configs.size());
+    expect_matches_serial_recomputation(*w, configs, points, report);
+  }
+}
 
-  expect_reports_identical(plain, memo);
+TEST(Explorer, EachBatchReportsItsOwnEstimateLookups) {
+  // The estimate cache outlives a batch, so an identical second batch is
+  // served from it. Its report, summary and obs counters must all count
+  // that batch's lookups alone.
+  const apps::KernelBackedWorkload w = apps::dsp_chain_workload();
+  Explorer::Options options;
+  options.num_threads = 1;
+  Explorer explorer(w.graph, w.kernels, options);
+  std::vector<ExploreReport> reports;
+  for (int batch = 0; batch < 2; ++batch) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    obs::Registry registry;
+    {
+      const obs::ScopedSink scope(&registry);
+      reports.push_back(
+          explorer.sweep({FlowConfig::defaults().without_cosim()},
+                         {partition::Strategy::kKl}, {partition::Objective{}}));
+    }
+    const ExploreReport& report = reports.back();
+    EXPECT_EQ(report.estimate_cache_hits,
+              registry.counter("explorer.estimate_cache.hits"));
+    EXPECT_EQ(report.estimate_cache_misses,
+              registry.counter("explorer.estimate_cache.misses"));
+    EXPECT_NE(report.summary.find(
+                  "estimate cache: " +
+                  std::to_string(report.estimate_cache_hits) + " hits / " +
+                  std::to_string(report.estimate_cache_misses) + " misses"),
+              std::string::npos)
+        << report.summary;
+  }
+  EXPECT_GT(reports[0].estimate_cache_misses, 0u);
+  EXPECT_EQ(reports[1].estimate_cache_misses, 0u);
+  EXPECT_EQ(reports[1].estimate_cache_hits,
+            reports[0].estimate_cache_hits + reports[0].estimate_cache_misses);
+  expect_reports_identical(reports[0], reports[1]);
 }
 
 TEST(Explorer, EmptyBatchAndSinglePoint) {
