@@ -8,7 +8,7 @@
 //   POST /v1/lint            verifier + lint over serialized IR
 //   POST /v1/fault-campaign  co-simulation under a fault plan
 //   GET  /v1/health          liveness + endpoint listing
-//   GET  /v1/metrics         dispatcher stats + obs registry summary
+//   GET  /v1/metrics         svc counters + obs registry summary
 //                            (?format=prometheus for text exposition)
 //   GET  /v1/requests        flight recorder: last N completed requests
 //   GET  /v1/trace/<id>      per-request Chrome trace (Perfetto-loadable)
@@ -121,7 +121,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // A registry makes /v1/metrics meaningful (svc.* counters, flow spans).
+  // The one counter source: svc.* and serve.* counters, flow spans and
+  // every merged request land here, and /v1/metrics renders it.
   mhs::obs::Registry registry;
   mhs::obs::ScopedRegistry scoped(registry);
 
@@ -154,14 +155,14 @@ int main(int argc, char** argv) {
   while (g_stop == 0) sigsuspend(&mask);
 
   server.stop();
-  const mhs::svc::ServerStats stats = server.stats();
+  const auto count = [&registry](const char* name) {
+    return static_cast<unsigned long long>(registry.counter(name));
+  };
   std::printf(
       "mhs_serve: stopped (accepted=%llu served=%llu overloaded=%llu "
       "conn_rejected=%llu parse_errors=%llu)\n",
-      static_cast<unsigned long long>(stats.accepted),
-      static_cast<unsigned long long>(stats.served),
-      static_cast<unsigned long long>(stats.overloaded),
-      static_cast<unsigned long long>(stats.conn_rejected),
-      static_cast<unsigned long long>(stats.parse_errors));
+      count("serve.accepted"), count("serve.served"),
+      count("serve.overloaded"), count("serve.conn_rejected"),
+      count("serve.parse_errors"));
   return 0;
 }

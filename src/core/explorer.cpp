@@ -7,7 +7,6 @@
 
 #include "base/parallel_for.h"
 #include "base/table.h"
-#include "ir/optimize.h"
 #include "obs/obs.h"
 #include "opt/pareto.h"
 
@@ -71,7 +70,8 @@ Explorer::Context& Explorer::context(
         const ir::Cdfg* original = kernels[i];
         std::shared_ptr<const ir::Cdfg> optimized =
             optimized_kernels_.get_or_compute(original, [&] {
-              return std::make_shared<const ir::Cdfg>(ir::optimize(*original));
+              return std::make_shared<const ir::Cdfg>(
+                  optimize_kernel(*original));
             });
         kernels[i] = optimized.get();
         ctx.keepalive.push_back(std::move(optimized));

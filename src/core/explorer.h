@@ -153,7 +153,7 @@ class Explorer {
   ir::TaskGraph graph_;
   std::vector<const ir::Cdfg*> kernels_;
   Options options_;
-  /// ir::optimize results shared across variants (keyed by kernel
+  /// optimize_kernel results shared across variants (keyed by kernel
   /// identity; optimization is deterministic).
   ConcurrentCache<const ir::Cdfg*, std::shared_ptr<const ir::Cdfg>>
       optimized_kernels_;

@@ -87,6 +87,11 @@ KernelEstimateCache::Entry estimate_kernel(const ir::Cdfg& kernel,
 
 }  // namespace
 
+ir::Cdfg optimize_kernel(const ir::Cdfg& kernel, ir::OptimizeStats* stats) {
+  const auto facts = analysis::absint_cdfg(kernel).interval_facts();
+  return ir::optimize(kernel, facts, stats);
+}
+
 ir::TaskGraph annotate_costs(const ir::TaskGraph& graph,
                              const std::vector<const ir::Cdfg*>& kernels,
                              const FlowConfig& config,
@@ -159,10 +164,8 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
     obs::Span phase("specify", "flow");
     if (config.optimize_kernels) {
       // Iterates the post-gate kernel list: a kernel the compile gate
-      // dropped must not reach the optimizer either. Each kernel is
-      // optimized with the interval facts absint proves for it (a no-op
-      // for unannotated kernels, whose facts are all top); the per-kernel
-      // stats sum into the report.
+      // dropped must not reach the optimizer either. The per-kernel stats
+      // sum into the report.
       report.optimized_kernels.reserve(kernels.size());
       ir::OptimizeStats& total = report.report.optimize_stats;
       for (const ir::Cdfg* kernel : kernels) {
@@ -171,8 +174,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
           continue;
         }
         ir::OptimizeStats stats;
-        const auto facts = analysis::absint_cdfg(*kernel).interval_facts();
-        report.optimized_kernels.push_back(optimize(*kernel, facts, &stats));
+        report.optimized_kernels.push_back(optimize_kernel(*kernel, &stats));
         total.constants_folded += stats.constants_folded;
         total.identities_applied += stats.identities_applied;
         total.subexpressions_merged += stats.subexpressions_merged;

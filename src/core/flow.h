@@ -260,6 +260,14 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
                              const std::vector<const ir::Cdfg*>& kernels,
                              const FlowConfig& config);
 
+/// The specify step for one kernel: ir::optimize under the interval facts
+/// absint proves for it (plain optimization for an unannotated kernel,
+/// whose facts are all top). The flow and the Explorer both call it, so
+/// one specification optimizes to one kernel. Precondition:
+/// analysis::verify_cdfg reported no errors.
+ir::Cdfg optimize_kernel(const ir::Cdfg& kernel,
+                         ir::OptimizeStats* stats = nullptr);
+
 /// The estimate step alone: returns `graph` with sw/hw costs derived from
 /// the kernels (software: compiled static estimate; hardware: min-area
 /// HLS latency and area; parallelism: width of the kernel's dataflow).

@@ -1,15 +1,13 @@
 #include "svc/dispatch.h"
 
-#include <algorithm>
 #include <exception>
 #include <optional>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "analysis/diag.h"
-#include "analysis/lint.h"
+#include "analysis/verify.h"
 #include "apps/kernels.h"
 #include "apps/workloads.h"
 #include "base/error.h"
@@ -121,6 +119,13 @@ std::string str(std::string_view s) {
   return "\"" + obs::json_escape(s) + "\"";
 }
 const char* flag(bool b) { return b ? "true" : "false"; }
+
+/// The summary of the process-wide registry (empty when none is
+/// installed).
+obs::Summary global_summary() {
+  const obs::Registry* r = obs::global_registry();
+  return r != nullptr ? r->summary() : obs::Summary{};
+}
 
 std::string diagnostics_json(const analysis::Diagnostics& diags) {
   std::ostringstream os;
@@ -297,7 +302,7 @@ bool prepare_spec(const std::string& workload, const std::string& graph_text,
 }
 
 bool prepare_flow(const FlowParams& p, Dispatcher::Prepared* prep,
-                  std::uint64_t max_samples, std::string* error) {
+                  std::string* error) {
   KeyBuilder key;
   key.text("flow");
   if (!prepare_spec(p.workload, p.graph, p.kernels, prep, &key, error)) {
@@ -322,9 +327,8 @@ bool prepare_flow(const FlowParams& p, Dispatcher::Prepared* prep,
     *error = "unknown cosim_level '" + p.cosim_level + "'";
     return false;
   }
-  if (p.cosim_samples > max_samples) {
-    *error = "cosim_samples exceeds the per-request limit of " +
-             std::to_string(max_samples);
+  if (p.cosim_samples > 4096) {
+    *error = "cosim_samples exceeds the per-request limit of 4096";
     return false;
   }
   prep->config = core::FlowConfig::defaults()
@@ -402,8 +406,7 @@ bool prepare_explore(const ExploreParams& p, Dispatcher::Prepared* prep,
 }
 
 bool prepare_cosim(const CosimParams& p, bool campaign,
-                   Dispatcher::Prepared* prep, std::uint64_t max_samples,
-                   std::string* error) {
+                   Dispatcher::Prepared* prep, std::string* error) {
   KeyBuilder key;
   key.text(campaign ? "fault-campaign" : "cosim");
   if (p.kernel.empty() == p.kernel_text.empty()) {
@@ -431,8 +434,8 @@ bool prepare_cosim(const CosimParams& p, bool campaign,
     *error = "unknown level '" + p.level + "'";
     return false;
   }
-  if (p.samples == 0 || p.samples > max_samples) {
-    *error = "samples must be in 1.." + std::to_string(max_samples);
+  if (p.samples == 0 || p.samples > 4096) {
+    *error = "samples must be in 1..4096";
     return false;
   }
   prep->cosim.level = *level;
@@ -500,89 +503,73 @@ bool prepare_lint(const LintParams& p, Dispatcher::Prepared* prep,
   return true;
 }
 
+/// The structural check every kernel a request carries passes before any
+/// library layer runs: ir::cdfg_from_text checks neither operand ids nor
+/// arity, and the optimizer, absint, the compiler and HLS all assume
+/// both. The serializer round trip (CDFG010) stays in /v1/lint. Returns
+/// the 400 message, or "" when every kernel is sound.
+std::string unsound_kernel(const Dispatcher::Prepared& prep) {
+  const auto check = [](const ir::Cdfg& kernel) {
+    const analysis::Diagnostics diags =
+        analysis::verify_cdfg(kernel, /*check_roundtrip=*/false);
+    return diags.has_errors() ? "kernel failed verification: " + diags.str()
+                              : std::string();
+  };
+  if (prep.endpoint == Endpoint::kCosim ||
+      prep.endpoint == Endpoint::kFaultCampaign) {
+    return check(prep.kernel);
+  }
+  for (std::size_t i = 0; i < prep.kernels.size(); ++i) {
+    if (prep.kernels[i] == nullptr) continue;
+    const std::string error = check(*prep.kernels[i]);
+    if (!error.empty()) return "kernels[" + std::to_string(i) + "]: " + error;
+  }
+  return "";
+}
+
 }  // namespace
 
 // -------------------------------------------------------------- Dispatcher
 
-Dispatcher::Dispatcher(Options options)
-    : options_(options), results_(kResultCacheShards) {}
-
-DispatchStats Dispatcher::stats() const {
-  DispatchStats s;
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.evaluations = evaluations_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.errors = errors_.load(std::memory_order_relaxed);
-  return s;
-}
+Dispatcher::Dispatcher() : results_(kResultCacheShards) {}
 
 std::string Dispatcher::metrics_json() const {
-  const DispatchStats s = stats();
+  // Both halves render the process-wide registry every request merges
+  // into (obs::registry() would be this metrics request's own): the svc
+  // block repeats its svc.* counters, and the obs block rides the one
+  // serialization path the obs layer owns (summary_json).
+  const obs::Summary summary = global_summary();
+  const auto counter = [&summary](std::string_view name) {
+    for (const obs::CounterStat& c : summary.counters) {
+      if (c.name == name) return c.value;
+    }
+    return std::uint64_t{0};
+  };
   std::ostringstream os;
-  os << "{\"svc\":{\"requests\":" << num(s.requests)
-     << ",\"evaluations\":" << num(s.evaluations)
-     << ",\"coalesced\":" << num(s.coalesced)
-     << ",\"cache_hits\":" << num(s.cache_hits)
-     << ",\"errors\":" << num(s.errors)
-     << ",\"result_cache_size\":" << num(results_.size()) << "}";
-  // The obs half rides the one serialization path the obs layer owns
-  // (summary_json), so /v1/metrics never drifts from the library's own
-  // rendering of the same aggregates. It renders the process-wide
-  // registry every request merges into: obs::registry() would be this
-  // metrics request's own.
-  obs::Summary summary;
-  if (obs::Registry* r = obs::global_registry()) summary = r->summary();
-  os << ",\"obs\":" << obs::summary_json(summary) << "}";
+  os << "{\"svc\":{\"requests\":" << num(counter("svc.requests"))
+     << ",\"evaluations\":" << num(counter("svc.evaluations"))
+     << ",\"coalesced\":" << num(counter("svc.coalesced"))
+     << ",\"cache_hits\":" << num(counter("svc.cache.hits"))
+     << ",\"errors\":" << num(counter("svc.errors"))
+     << ",\"result_cache_size\":" << num(results_.size()) << "}"
+     << ",\"obs\":" << obs::summary_json(summary) << "}";
   return os.str();
 }
 
 std::string Dispatcher::metrics_prometheus() const {
-  const DispatchStats s = stats();
-  std::ostringstream os;
-  std::unordered_set<std::string> emitted;
-  const auto counter = [&os, &emitted](const char* name,
-                                       std::uint64_t value) {
-    os << "# TYPE " << name << " counter\n" << name << ' ' << value << '\n';
-    emitted.insert(name);
-  };
-  counter("mhs_svc_requests", s.requests);
-  counter("mhs_svc_evaluations", s.evaluations);
-  counter("mhs_svc_coalesced", s.coalesced);
-  counter("mhs_svc_cache_hits", s.cache_hits);
-  counter("mhs_svc_errors", s.errors);
-  os << "# TYPE mhs_svc_result_cache_size gauge\n"
-     << "mhs_svc_result_cache_size " << results_.size() << '\n';
-  emitted.insert("mhs_svc_result_cache_size");
-  obs::Summary summary;
-  if (obs::Registry* r = obs::global_registry()) summary = r->summary();
-  // The registry records svc.* counters at the same sites DispatchStats
-  // counts, so their Prometheus names collide with the block above —
-  // and duplicate sample names are invalid exposition format. The
-  // dispatcher's own atomics win; the obs twins are dropped.
-  const auto collides = [&emitted](const std::string& name) {
-    return emitted.count(obs::prometheus_name(name)) != 0;
-  };
-  summary.counters.erase(
-      std::remove_if(summary.counters.begin(), summary.counters.end(),
-                     [&](const obs::CounterStat& c) {
-                       return collides(c.name);
-                     }),
-      summary.counters.end());
-  summary.gauges.erase(
-      std::remove_if(summary.gauges.begin(), summary.gauges.end(),
-                     [&](const obs::GaugeStat& g) {
-                       return collides(g.name);
-                     }),
-      summary.gauges.end());
-  os << obs::summary_prometheus(summary);
-  return os.str();
+  return obs::summary_prometheus(global_summary()) +
+         "# TYPE mhs_svc_result_cache_size gauge\n"
+         "mhs_svc_result_cache_size " +
+         std::to_string(results_.size()) + "\n";
 }
 
 Dispatcher::Evaluation Dispatcher::evaluate(const Prepared& prep) {
   Evaluation out;
   Response& resp = out.response;
   resp.endpoint = endpoint_name(prep.endpoint);
+  if (std::string error = unsound_kernel(prep); !error.empty()) {
+    return {Response::failure(400, resp.endpoint, std::move(error))};
+  }
   try {
     switch (prep.endpoint) {
       case Endpoint::kFlow: {
@@ -672,13 +659,6 @@ Dispatcher::Evaluation Dispatcher::evaluate(const Prepared& prep) {
       }
       case Endpoint::kCosim:
       case Endpoint::kFaultCampaign: {
-        // Gate before HLS: a structurally broken kernel must be a 400,
-        // not a synthesizer crash.
-        const analysis::Diagnostics diags = analysis::analyze_cdfg(prep.kernel);
-        if (diags.has_errors()) {
-          return {Response::failure(
-              400, resp.endpoint, "kernel failed verification: " + diags.str())};
-        }
         hw::HlsConstraints constraints;
         constraints.goal = hw::HlsGoal::kMinArea;
         // The result's Schedule keeps a pointer to the library, so it
@@ -769,7 +749,6 @@ Response Dispatcher::handle(const Request& request,
   // The request's scope: everything below, library layers included,
   // records into the request's own sink.
   const obs::ScopedSink scope(trace.sink);
-  requests_.fetch_add(1, std::memory_order_relaxed);
   obs::count("svc.requests");
 
   // Every traced request gets the root "svc" span — cache hits and
@@ -792,18 +771,18 @@ Response Dispatcher::handle(const Request& request,
   bool prepared = false;
   switch (request.endpoint) {
     case Endpoint::kFlow:
-      prepared = prepare_flow(request.flow, &prep, options_.max_samples, &error);
+      prepared = prepare_flow(request.flow, &prep, &error);
       break;
     case Endpoint::kExplore:
       prepared = prepare_explore(request.explore, &prep, &error);
       break;
     case Endpoint::kCosim:
-      prepared = prepare_cosim(request.cosim, /*campaign=*/false, &prep,
-                               options_.max_samples, &error);
+      prepared =
+          prepare_cosim(request.cosim, /*campaign=*/false, &prep, &error);
       break;
     case Endpoint::kFaultCampaign:
-      prepared = prepare_cosim(request.cosim, /*campaign=*/true, &prep,
-                               options_.max_samples, &error);
+      prepared =
+          prepare_cosim(request.cosim, /*campaign=*/true, &prep, &error);
       break;
     case Endpoint::kLint:
       prepared = prepare_lint(request.lint, &prep, &error);
@@ -813,22 +792,22 @@ Response Dispatcher::handle(const Request& request,
       break;
   }
   if (!prepared) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
     obs::count("svc.errors");
     return Response::failure(400, endpoint_name(request.endpoint),
                              std::move(error));
   }
 
   // However the request is satisfied, its recorder facts are a copy of
-  // the evaluation's own profile.
+  // the evaluation's own profile, and a failed evaluation counts as an
+  // error for the leader and for every rider.
   const auto answer = [outcome](const Evaluation& e) {
+    if (!e.response.ok()) obs::count("svc.errors");
     if (outcome != nullptr) outcome->profile = e.profile;
     return e.response;
   };
 
   std::shared_ptr<const Evaluation> cached;
-  if (options_.result_cache && results_.lookup(prep.key, &cached)) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (results_.lookup(prep.key, &cached)) {
     obs::count("svc.cache.hits");
     root.arg("cache_hit", "true");
     if (outcome != nullptr) outcome->cache_hit = true;
@@ -847,23 +826,18 @@ Response Dispatcher::handle(const Request& request,
     leader = inserted;
   }
   if (!leader) {
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
     obs::count("svc.coalesced");
     root.arg("coalesced", "true");
     std::unique_lock<std::mutex> lock(inflight_mutex_);
     flight->cv.wait(lock, [&flight] { return flight->done; });
-    if (!flight->result->response.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-    }
     if (outcome != nullptr) outcome->coalesced = true;
     return answer(*flight->result);
   }
 
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
   obs::count("svc.evaluations");
   auto shared = std::make_shared<const Evaluation>(evaluate(prep));
   // Only successes are cached: a failed evaluation should be retryable.
-  if (shared->response.ok() && options_.result_cache) {
+  if (shared->response.ok()) {
     results_.get_or_compute(prep.key, [&shared] { return shared; });
   }
   {
@@ -873,10 +847,6 @@ Response Dispatcher::handle(const Request& request,
     in_flight_.erase(prep.key);
   }
   flight->cv.notify_all();
-  if (!shared->response.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("svc.errors");
-  }
   return answer(*shared);
 }
 

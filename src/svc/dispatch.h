@@ -9,13 +9,19 @@
 //     so a repeated request is answered without re-evaluating;
 //   * in-flight coalescing on the same key: when N identical requests
 //     arrive concurrently, one evaluates and the other N-1 wait for the
-//     shared result — the stats prove it (evaluations counts unique
-//     work, coalesced counts the riders).
+//     shared result — the counters prove it (svc.evaluations counts
+//     unique work, svc.coalesced counts the riders).
 //
 // Both hold what one evaluation yields: the response and the cycle
 // profile of the co-simulation it ran, taken from the typed report. A
 // fresh, cached or coalesced request copies its flight-recorder facts
 // from that pair; the dispatcher never parses its own output.
+//
+// Every outcome is counted once, in the current obs registry:
+// svc.requests, svc.evaluations, svc.coalesced, svc.cache.hits and
+// svc.errors (rejected at prepare, failed evaluations and their riders).
+// A traced request counts into its own registry, which the server merges
+// into the process-wide one when the request completes.
 //
 // Responses are deterministic (no wall times), so a cached or coalesced
 // response is byte-identical to a fresh evaluation. handle() is
@@ -23,7 +29,6 @@
 // 400/500 responses.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -37,29 +42,9 @@
 
 namespace mhs::svc {
 
-/// Counters of one Dispatcher's lifetime (monotonic; also mirrored to
-/// the current obs registry as svc.* counters).
-struct DispatchStats {
-  std::uint64_t requests = 0;     ///< handle() calls
-  std::uint64_t evaluations = 0;  ///< requests that ran the library
-  std::uint64_t coalesced = 0;    ///< requests that rode an in-flight twin
-  std::uint64_t cache_hits = 0;   ///< requests answered from the result cache
-  std::uint64_t errors = 0;       ///< non-200 responses
-};
-
 class Dispatcher {
  public:
-  struct Options {
-    /// Cache successful responses across requests (in-flight coalescing
-    /// happens regardless). Off only for cache-measurement tests.
-    bool result_cache = true;
-    /// Upper bound on per-request co-simulation samples (request cost
-    /// guard; larger asks are a 400).
-    std::uint64_t max_samples = 4096;
-  };
-
-  Dispatcher() : Dispatcher(Options{}) {}
-  explicit Dispatcher(Options options);
+  Dispatcher();
 
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
@@ -78,8 +63,6 @@ class Dispatcher {
   Response handle(const Request& request, const obs::TraceContext& trace,
                   RequestOutcome* outcome = nullptr);
 
-  DispatchStats stats() const;
-
   /// A request resolved to library-level inputs plus its coalescing key
   /// (defined in dispatch.cpp; public so the free prepare_* helpers can
   /// build it).
@@ -87,15 +70,14 @@ class Dispatcher {
 
   /// The /v1/metrics result object: `{"svc":{...},"obs":<summary>}`
   /// where the summary is obs::summary_json of obs::global_registry(),
-  /// the process-wide aggregate every request merges into — the one
-  /// serialization path shared with the obs layer (empty arrays when
-  /// tracing is disabled).
+  /// the process-wide aggregate every request merges into, and the svc
+  /// block repeats its svc.* counters plus the result cache's size. All
+  /// zero (and empty arrays) when no registry is installed.
   std::string metrics_json() const;
 
-  /// The same metrics in Prometheus text exposition format: mhs_svc_*
-  /// counters followed by obs::summary_prometheus, with obs samples
-  /// whose names collide with the mhs_svc_* block dropped (duplicate
-  /// sample names are invalid exposition format).
+  /// The same metrics in Prometheus text exposition format:
+  /// obs::summary_prometheus of the same summary plus the
+  /// mhs_svc_result_cache_size gauge.
   std::string metrics_prometheus() const;
 
  private:
@@ -113,12 +95,6 @@ class Dispatcher {
 
   Evaluation evaluate(const Prepared& prepared);
 
-  Options options_;
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> evaluations_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> errors_{0};
   ConcurrentCache<std::uint64_t, std::shared_ptr<const Evaluation>> results_;
   std::mutex inflight_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> in_flight_;

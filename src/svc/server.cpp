@@ -121,16 +121,6 @@ void Server::stop() {
   listen_fd_ = wake_read_ = wake_write_ = -1;
 }
 
-ServerStats Server::stats() const {
-  ServerStats s;
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.conn_rejected = conn_rejected_.load(std::memory_order_relaxed);
-  s.served = served_.load(std::memory_order_relaxed);
-  s.overloaded = overloaded_.load(std::memory_order_relaxed);
-  s.parse_errors = parse_errors_.load(std::memory_order_relaxed);
-  return s;
-}
-
 void Server::wake() {
   if (wake_write_ < 0) return;
   const char byte = 1;
@@ -194,7 +184,7 @@ void Server::respond(Session& session, int status, const std::string& body,
                      bool keep_alive) {
   session.outbox += http_response(status, body, keep_alive);
   session.close_after = session.close_after || !keep_alive;
-  served_.fetch_add(1, std::memory_order_relaxed);
+  obs::count("serve.served");
 }
 
 void Server::finish(Session& session, Completion& c) {
@@ -204,7 +194,7 @@ void Server::finish(Session& session, Completion& c) {
   session.outbox +=
       http_response(c.status, c.body, c.keep_alive, c.content_type, extra);
   session.close_after = session.close_after || !c.keep_alive;
-  served_.fetch_add(1, std::memory_order_relaxed);
+  obs::count("serve.served");
   const std::uint64_t respond_us = us_since(respond_start);
 
   obs::observe("serve.parse_us", c.parse_us);
@@ -375,7 +365,7 @@ void Server::route(int fd, Session& session) {
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
       if (queue_.size() >= config_.max_queue) {
-        overloaded_.fetch_add(1, std::memory_order_relaxed);
+        obs::count("serve.overloaded");
         respond(session, 503,
                 Response::failure(503, endpoint_name(*endpoint),
                                   "server overloaded (queue full)")
@@ -404,7 +394,7 @@ void Server::accept_ready() {
     const int fd = accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;  // EAGAIN or transient error: try again on poll
     if (sessions_.size() >= config_.max_connections) {
-      conn_rejected_.fetch_add(1, std::memory_order_relaxed);
+      obs::count("serve.conn_rejected");
       send_all(fd, http_response(
                        503,
                        Response::failure(503, "",
@@ -421,7 +411,7 @@ void Server::accept_ready() {
     session->parser = HttpParser(config_.limits);
     session->generation = next_generation_++;
     sessions_.emplace(fd, std::move(session));
-    accepted_.fetch_add(1, std::memory_order_relaxed);
+    obs::count("serve.accepted");
     // How long the accept sat behind the poll() return — the loop's
     // accept latency under load.
     obs::observe("serve.accept_wait_us", us_since(poll_return_us_));
@@ -435,7 +425,7 @@ void Server::read_ready(int fd, Session& session, std::vector<int>& dead) {
     if (n > 0) {
       if (session.first_byte_us == 0.0) session.first_byte_us = obs::now_us();
       if (!session.parser.consume(std::string_view(buf, static_cast<std::size_t>(n)))) {
-        parse_errors_.fetch_add(1, std::memory_order_relaxed);
+        obs::count("serve.parse_errors");
         respond(session, session.parser.error_status(),
                 Response::failure(session.parser.error_status(), "",
                                   session.parser.error_reason())

@@ -19,6 +19,12 @@
 // Replay mode (workers = 0) evaluates every request inline on the loop
 // thread in arrival order — fully deterministic, the configuration the
 // parity and replay tests use.
+//
+// The loop counts what it does in the process-wide obs registry:
+// serve.accepted, serve.conn_rejected, serve.served (responses written,
+// any status), serve.overloaded (503s at the queue bound) and
+// serve.parse_errors (HTTP-level 400/413/501 answers), next to its
+// serve.*_us histograms. With no registry installed they are not kept.
 #pragma once
 
 #include <atomic>
@@ -73,15 +79,6 @@ struct ServerConfig {
   std::function<std::string()> metrics_text;
 };
 
-/// Monotonic counters of one server's lifetime.
-struct ServerStats {
-  std::uint64_t accepted = 0;        ///< connections admitted
-  std::uint64_t conn_rejected = 0;   ///< connections 503'd at the limit
-  std::uint64_t served = 0;          ///< responses written (any status)
-  std::uint64_t overloaded = 0;      ///< requests 503'd at the queue bound
-  std::uint64_t parse_errors = 0;    ///< HTTP-level 400/413/501 answers
-};
-
 class Server {
  public:
   /// What evaluates a routed request — normally Dispatcher::handle
@@ -112,8 +109,6 @@ class Server {
   std::uint16_t port() const { return port_; }
   const ServerConfig& config() const { return config_; }
   bool replay() const { return config_.workers == 0; }
-
-  ServerStats stats() const;
 
   /// The flight recorder (also behind GET /v1/requests). Safe to read
   /// from any thread while the server runs.
@@ -217,12 +212,6 @@ class Server {
 
   std::mutex completion_mutex_;
   std::vector<Completion> completions_;
-
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> conn_rejected_{0};
-  std::atomic<std::uint64_t> served_{0};
-  std::atomic<std::uint64_t> overloaded_{0};
-  std::atomic<std::uint64_t> parse_errors_{0};
 };
 
 }  // namespace mhs::svc

@@ -18,7 +18,7 @@
 #include "base/parallel_for.h"
 #include "core/explorer.h"
 #include "hw/hls.h"
-#include "ir/optimize.h"
+#include "ir/serialize.h"
 #include "ir/task_graph_gen.h"
 #include "obs/obs.h"
 #include "sim/run.h"
@@ -208,7 +208,7 @@ TEST(Explorer, DeterministicAcrossThreadCounts) {
 }
 
 /// Recomputes every point of `report` serially from outside the Explorer
-/// — per variant ir::optimize and annotate_costs with no cache, a fresh
+/// — per variant optimize_kernel and annotate_costs with no cache, a fresh
 /// CostModel, then partition::run per point — and requires each point to
 /// match bit for bit.
 void expect_matches_serial_recomputation(
@@ -221,7 +221,7 @@ void expect_matches_serial_recomputation(
     std::vector<const ir::Cdfg*> kernels = w.kernels;
     for (std::size_t t = 0; t < kernels.size(); ++t) {
       if (kernels[t] == nullptr || !config.optimize_kernels) continue;
-      optimized[t] = ir::optimize(*kernels[t]);
+      optimized[t] = optimize_kernel(*kernels[t]);
       kernels[t] = &optimized[t];
     }
     const ir::TaskGraph annotated = annotate_costs(w.graph, kernels, config);
@@ -273,6 +273,56 @@ TEST(Explorer, FourThreadSweepMatchesASerialRecomputation) {
     EXPECT_EQ(report.contexts_built, configs.size());
     expect_matches_serial_recomputation(*w, configs, points, report);
   }
+}
+
+TEST(Explorer, OptimizesKernelsUnderTheirRangeFactsLikeTheFlow) {
+  // A ranged kernel the optimizer rewrites only under its absint facts:
+  // the flow and a sweep of the same point must optimize it the same way
+  // and so report the same design.
+  const ir::TaskGraph graph = ir::task_graph_from_text(
+      "taskgraph ranged\n"
+      "task t0 sw=10 hw=5 area=3\n"
+      "task t1 sw=400 hw=50 area=300\n"
+      "edge 0 1 bytes=16\n"
+      "end\n");
+  const ir::Cdfg kernel = ir::cdfg_from_text(
+      "cdfg ranged\n"
+      "op input a\n"
+      "op input b\n"
+      "op const 1000\n"
+      "op cmplt 0 2\n"
+      "op mul 1 1\n"
+      "op mul 4 1\n"
+      "op mul 5 1\n"
+      "op sub 1 1\n"
+      "op select 3 1 6\n"
+      "op const 8\n"
+      "op div 0 9\n"
+      "op add 8 10\n"
+      "op output y 11\n"
+      "range a 0 100\n"
+      "end\n");
+  const std::vector<const ir::Cdfg*> kernels = {&kernel, nullptr};
+  const FlowConfig config =
+      FlowConfig::defaults().without_cosim().with_strategy(
+          partition::Strategy::kKl);
+  const FlowReport flow = run_codesign_flow(graph, kernels, config);
+  // The facts matter here: without them the select stays.
+  ASSERT_EQ(flow.report.optimize_stats.range_rewrites, 2u);
+
+  Explorer::Options options;
+  options.num_threads = 1;
+  Explorer explorer(graph, kernels, options);
+  const ExploreReport report = explorer.sweep(
+      {config}, {partition::Strategy::kKl}, {config.objective});
+  ASSERT_EQ(report.points.size(), 1u);
+  const PointResult& point = report.points[0];
+  ASSERT_TRUE(point.error.empty()) << point.error;
+  EXPECT_EQ(point.partition.mapping, flow.design.partition.mapping);
+  expect_metrics_identical(point.partition.metrics,
+                           flow.design.partition.metrics);
+  EXPECT_EQ(point.partition.evaluations, flow.design.partition.evaluations);
+  EXPECT_EQ(point.all_sw_latency, flow.design.all_sw_latency);
 }
 
 TEST(Explorer, EachBatchReportsItsOwnEstimateLookups) {
