@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "obs/json.h"
-
 namespace mhs::analysis {
 
 const char* severity_name(Severity severity) {
@@ -82,20 +80,15 @@ std::string Diagnostics::str() const {
   return os.str();
 }
 
-std::string Diagnostics::json() const {
-  std::ostringstream os;
-  os << '[';
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    const Diag& d = items_[i];
-    if (i > 0) os << ',';
-    os << "{\"code\":\"" << obs::json_escape(d.code) << "\",\"severity\":\""
-       << severity_name(d.severity) << "\",\"kind\":\""
-       << obs::json_escape(d.location.kind) << "\",\"id\":" << d.location.id
-       << ",\"name\":\"" << obs::json_escape(d.location.name)
-       << "\",\"message\":\"" << obs::json_escape(d.message) << "\"}";
+obs::JsonValue Diagnostics::to_json() const {
+  obs::JsonValue::Array out;
+  for (const Diag& d : items_) {
+    out.emplace_back(obs::JsonValue::Object{
+        {"code", d.code}, {"severity", severity_name(d.severity)},
+        {"kind", d.location.kind}, {"id", d.location.id},
+        {"name", d.location.name}, {"message", d.message}});
   }
-  os << ']';
-  return os.str();
+  return out;
 }
 
 namespace {

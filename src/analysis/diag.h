@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "base/error.h"
+#include "obs/json.h"
 
 namespace mhs::analysis {
 
@@ -89,10 +90,10 @@ class Diagnostics {
   /// One line per finding plus a trailing summary ("2 errors, 1 warning").
   std::string str() const;
 
-  /// JSON array of findings:
+  /// JSON array of findings, for obs::json_render:
   ///   [{"code":"CDFG001","severity":"error","kind":"op","id":5,
   ///     "name":"","message":"..."}, ...]
-  std::string json() const;
+  obs::JsonValue to_json() const;
 
  private:
   std::vector<Diag> items_;

@@ -188,7 +188,7 @@ int run_lint(const std::vector<std::string>& args, std::ostream& out,
   }
 
   if (json) {
-    out << diags.json() << "\n";
+    out << obs::json_render(diags.to_json()) << "\n";
   } else if (diags.empty()) {
     out << "clean: no findings\n";
   } else {

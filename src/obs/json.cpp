@@ -1,13 +1,24 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iomanip>
 #include <sstream>
 
 namespace mhs::obs {
+
+double JsonValue::as_number() const {
+  if (const auto* u = std::get_if<std::uint64_t>(&value_)) return *u;
+  if (const auto* i = std::get_if<std::int64_t>(&value_)) return *i;
+  return std::get<double>(value_);
+}
+
+std::optional<std::uint64_t> JsonValue::as_u64() const {
+  if (const auto* u = std::get_if<std::uint64_t>(&value_)) return *u;
+  return std::nullopt;
+}
 
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (!is_object()) return nullptr;
@@ -228,7 +239,9 @@ class JsonParser {
     } else {
       while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
     }
+    bool integer = true;
     if (peek() == '.') {
+      integer = false;
       ++pos_;
       if (!std::isdigit(static_cast<unsigned char>(peek()))) {
         return fail("expected a digit after the decimal point");
@@ -236,6 +249,7 @@ class JsonParser {
       while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
     }
     if (peek() == 'e' || peek() == 'E') {
+      integer = false;
       ++pos_;
       if (peek() == '+' || peek() == '-') ++pos_;
       if (!std::isdigit(static_cast<unsigned char>(peek()))) {
@@ -243,8 +257,24 @@ class JsonParser {
       }
       while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    return JsonValue(std::strtod(token.c_str(), nullptr));
+    const std::string_view token = text_.substr(start, pos_ - start);
+    if (integer) {  // exact when it fits int64_t or uint64_t
+      const bool negative = token[0] == '-';
+      std::uint64_t magnitude = 0;
+      if (std::from_chars(token.data() + negative, token.data() + token.size(),
+                          magnitude).ec == std::errc{}) {
+        if (!negative || magnitude == 0) return JsonValue(magnitude);
+        if (magnitude <= std::uint64_t{1} << 63) {
+          return JsonValue(static_cast<std::int64_t>(0 - magnitude));
+        }
+      }
+    }
+    const double value = std::strtod(std::string(token).c_str(), nullptr);
+    if (!std::isfinite(value)) {
+      pos_ = start;
+      return fail("number out of range");
+    }
+    return JsonValue(value);
   }
 
   bool literal(std::string_view word) {
@@ -290,69 +320,65 @@ bool json_is_valid(std::string_view text) {
   return json_parse(text).has_value();
 }
 
-namespace {
+/// json_render's visitor over the stored alternatives (a friend of
+/// JsonValue).
+struct JsonWriter {
+  std::string& out;
 
-/// JSON number: integral values print without a decimal point (an int64
-/// survives render→parse→render unchanged up to 2^53); everything else
-/// at round-trip precision. Non-finite values cannot appear — the
-/// parser never produces them and JsonValue offers no other ingress for
-/// doubles in this codebase's usage, but degrade to 0 defensively.
-void render_number(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << '0';
-    return;
-  }
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    os << static_cast<long long>(v);
-    return;
-  }
-  os << std::setprecision(17) << v;
-}
-
-void render_value(std::ostringstream& os, const JsonValue& value) {
-  switch (value.kind()) {
-    case JsonValue::Kind::kNull:
-      os << "null";
-      return;
-    case JsonValue::Kind::kBool:
-      os << (value.as_bool() ? "true" : "false");
-      return;
-    case JsonValue::Kind::kNumber:
-      render_number(os, value.as_number());
-      return;
-    case JsonValue::Kind::kString:
-      os << '"' << json_escape(value.as_string()) << '"';
-      return;
-    case JsonValue::Kind::kArray: {
-      os << '[';
-      const JsonValue::Array& items = value.as_array();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i != 0) os << ',';
-        render_value(os, items[i]);
-      }
-      os << ']';
-      return;
+  void operator()(const JsonValue& value) { std::visit(*this, value.value_); }
+  void operator()(std::nullptr_t) { out += "null"; }
+  void operator()(bool b) { out += b ? "true" : "false"; }
+  void operator()(std::uint64_t n) { digits(n); }
+  void operator()(std::int64_t n) { digits(n); }
+  /// Integral values below 2^53 print without a decimal point, others at
+  /// round-trip precision (%.17g). The parser rejects non-finite values;
+  /// one built in code degrades to 0.
+  void operator()(double v) {
+    if (!std::isfinite(v)) v = 0;
+    if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+      return digits(static_cast<std::int64_t>(v));
     }
-    case JsonValue::Kind::kObject: {
-      os << '{';
-      const JsonValue::Object& members = value.as_object();
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        if (i != 0) os << ',';
-        os << '"' << json_escape(members[i].first) << "\":";
-        render_value(os, members[i].second);
-      }
-      os << '}';
-      return;
-    }
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                  std::chars_format::general, 17).ptr);
   }
-}
+  void operator()(const std::string& s) {
+    out += '"';
+    out += json_escape(s);
+    out += '"';
+  }
+  void operator()(const JsonValue::Array& items) {
+    out += '[';
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i != 0) out += ',';
+      (*this)(items[i]);
+    }
+    out += ']';
+  }
+  void operator()(const JsonValue::Object& members) {
+    out += '{';
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (i != 0) out += ',';
+      (*this)(members[i].first);
+      out += ':';
+      (*this)(members[i].second);
+    }
+    out += '}';
+  }
 
-}  // namespace
+  template <typename Integer>
+  void digits(Integer n) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), n).ptr);
+  }
+};
 
 std::string json_render(const JsonValue& value) {
-  std::ostringstream os;
-  render_value(os, value);
-  return os.str();
+  std::string out;
+  JsonWriter{out}(value);
+  // The service caches rendered results: keep none of the growth slack.
+  out.shrink_to_fit();
+  return out;
 }
 
 }  // namespace mhs::obs

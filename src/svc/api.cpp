@@ -1,47 +1,8 @@
 #include "svc/api.h"
 
-#include <sstream>
-
-#include "obs/json.h"
-
 namespace mhs::svc {
 
 namespace {
-
-/// JSON number at round-trip precision (integral values without a
-/// decimal point, matching obs::json_render's canonical form).
-std::string num(double v) {
-  obs::JsonValue value(v);
-  return obs::json_render(value);
-}
-
-std::string num_u64(std::uint64_t v) { return std::to_string(v); }
-
-std::string quoted(const std::string& s) {
-  return "\"" + obs::json_escape(s) + "\"";
-}
-
-void render_string_array(std::ostringstream& os,
-                         const std::vector<std::string>& items) {
-  os << '[';
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) os << ',';
-    os << quoted(items[i]);
-  }
-  os << ']';
-}
-
-void render_number_array(std::ostringstream& os,
-                         const std::vector<double>& items) {
-  os << '[';
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) os << ',';
-    os << num(items[i]);
-  }
-  os << ']';
-}
-
-const char* boolean(bool b) { return b ? "true" : "false"; }
 
 // ------------------------------------------------------- strict readers
 //
@@ -72,19 +33,14 @@ class Fields {
     }, "a number");
   }
 
+  /// Exact: a fraction, a negative, an exponent form or a value above
+  /// 2^64-1 is an error, never a rounded or truncated integer.
   bool u64(const char* key, std::uint64_t* out) {
     return read(key, [&](const obs::JsonValue& v) {
-      if (!v.is_number() || v.as_number() < 0) return false;
-      // JSON numbers travel as doubles, which cannot represent every
-      // uint64: anything at or above 2^64 (notably a rendered
-      // UINT64_MAX, e.g. the FaultSpecParams::max_count default) clamps
-      // back to UINT64_MAX instead of hitting an out-of-range cast.
-      constexpr double kMax = 18446744073709551616.0;  // 2^64
-      *out = v.as_number() >= kMax
-                 ? UINT64_MAX
-                 : static_cast<std::uint64_t>(v.as_number());
-      return true;
-    }, "a non-negative number");
+      const std::optional<std::uint64_t> value = v.as_u64();
+      if (value) *out = *value;
+      return value.has_value();
+    }, "a non-negative integer");
   }
 
   bool flag(const char* key, bool* out) {
@@ -310,79 +266,70 @@ std::optional<std::string_view> parse_trace_path(std::string_view path) {
   return id;
 }
 
-std::string profile_buckets_json(const obs::Profile& profile) {
+obs::JsonValue::Object profile_buckets(const obs::Profile& profile) {
   static constexpr const char* kKeys[obs::Profile::kNumCategories] = {
       "sw_execute", "bus", "dma", "peripheral_wait", "fault_recovery", "idle"};
-  std::string out;
+  obs::JsonValue::Object out;
   for (std::size_t c = 0; c < obs::Profile::kNumCategories; ++c) {
-    if (c != 0) out += ',';
-    out += std::string("\"") + kKeys[c] + "\":" +
-           num_u64(profile.cycles(static_cast<obs::Profile::Category>(c)));
+    out.emplace_back(kKeys[c],
+                     profile.cycles(static_cast<obs::Profile::Category>(c)));
   }
   return out;
 }
 
 std::string Request::json() const {
-  std::ostringstream os;
-  os << "{\"schema_version\":1,\"endpoint\":" << quoted(endpoint_name(endpoint))
-     << ",\"params\":{";
+  const auto array = [](const auto& items) {
+    return obs::JsonValue::Array(items.begin(), items.end());
+  };
+  obs::JsonValue::Object params;
   switch (endpoint) {
     case Endpoint::kFlow:
-      os << "\"workload\":" << quoted(flow.workload)
-         << ",\"graph\":" << quoted(flow.graph) << ",\"kernels\":";
-      render_string_array(os, flow.kernels);
-      os << ",\"strategy\":" << quoted(flow.strategy)
-         << ",\"latency_target\":" << num(flow.latency_target)
-         << ",\"area_weight\":" << num(flow.area_weight)
-         << ",\"lint_level\":" << quoted(flow.lint_level)
-         << ",\"optimize_kernels\":" << boolean(flow.optimize_kernels)
-         << ",\"validate_with_hls\":" << boolean(flow.validate_with_hls)
-         << ",\"cosimulate\":" << boolean(flow.cosimulate)
-         << ",\"cosim_level\":" << quoted(flow.cosim_level)
-         << ",\"cosim_samples\":" << num_u64(flow.cosim_samples)
-         << ",\"cosim_seed\":" << num_u64(flow.cosim_seed);
+      params = {{"workload", flow.workload}, {"graph", flow.graph},
+                {"kernels", array(flow.kernels)}, {"strategy", flow.strategy},
+                {"latency_target", flow.latency_target},
+                {"area_weight", flow.area_weight},
+                {"lint_level", flow.lint_level},
+                {"optimize_kernels", flow.optimize_kernels},
+                {"validate_with_hls", flow.validate_with_hls},
+                {"cosimulate", flow.cosimulate},
+                {"cosim_level", flow.cosim_level},
+                {"cosim_samples", flow.cosim_samples},
+                {"cosim_seed", flow.cosim_seed}};
       break;
     case Endpoint::kExplore:
-      os << "\"workload\":" << quoted(explore.workload)
-         << ",\"graph\":" << quoted(explore.graph) << ",\"kernels\":";
-      render_string_array(os, explore.kernels);
-      os << ",\"strategies\":";
-      render_string_array(os, explore.strategies);
-      os << ",\"latency_targets\":";
-      render_number_array(os, explore.latency_targets);
-      os << ",\"area_weight\":" << num(explore.area_weight)
-         << ",\"threads\":" << num_u64(explore.threads);
+      params = {{"workload", explore.workload}, {"graph", explore.graph},
+                {"kernels", array(explore.kernels)},
+                {"strategies", array(explore.strategies)},
+                {"latency_targets", array(explore.latency_targets)},
+                {"area_weight", explore.area_weight},
+                {"threads", explore.threads}};
       break;
     case Endpoint::kCosim:
-    case Endpoint::kFaultCampaign:
-      os << "\"kernel\":" << quoted(cosim.kernel)
-         << ",\"kernel_text\":" << quoted(cosim.kernel_text)
-         << ",\"level\":" << quoted(cosim.level)
-         << ",\"samples\":" << num_u64(cosim.samples)
-         << ",\"seed\":" << num_u64(cosim.seed)
-         << ",\"use_irq\":" << boolean(cosim.use_irq)
-         << ",\"fault_seed\":" << num_u64(cosim.fault_seed) << ",\"faults\":[";
-      for (std::size_t i = 0; i < cosim.faults.size(); ++i) {
-        const FaultSpecParams& spec = cosim.faults[i];
-        if (i != 0) os << ',';
-        os << "{\"kind\":" << quoted(spec.kind) << ",\"rate\":"
-           << num(spec.rate) << ",\"param\":" << num_u64(spec.param)
-           << ",\"max_count\":" << num_u64(spec.max_count) << "}";
+    case Endpoint::kFaultCampaign: {
+      obs::JsonValue::Array faults;
+      for (const FaultSpecParams& spec : cosim.faults) {
+        faults.emplace_back(obs::JsonValue::Object{
+            {"kind", spec.kind}, {"rate", spec.rate}, {"param", spec.param},
+            {"max_count", spec.max_count}});
       }
-      os << ']';
+      params = {{"kernel", cosim.kernel}, {"kernel_text", cosim.kernel_text},
+                {"level", cosim.level}, {"samples", cosim.samples},
+                {"seed", cosim.seed}, {"use_irq", cosim.use_irq},
+                {"fault_seed", cosim.fault_seed},
+                {"faults", std::move(faults)}};
       break;
+    }
     case Endpoint::kLint:
-      os << "\"artifacts\":";
-      render_string_array(os, lint.artifacts);
-      os << ",\"strict\":" << boolean(lint.strict)
-         << ",\"ranges\":" << boolean(lint.ranges);
+      params = {{"artifacts", array(lint.artifacts)}, {"strict", lint.strict},
+                {"ranges", lint.ranges}};
       break;
     case Endpoint::kHealth:
     case Endpoint::kMetrics:
       break;
   }
-  os << "}}";
-  return os.str();
+  return obs::json_render(obs::JsonValue::Object{
+      {"schema_version", 1}, {"endpoint", endpoint_name(endpoint)},
+      {"params", std::move(params)}});
 }
 
 std::optional<Request> Request::from_json(std::string_view text,
@@ -471,11 +418,17 @@ std::optional<Request> Request::from_json(std::string_view text,
 }
 
 std::string Response::json() const {
-  std::ostringstream os;
-  os << "{\"schema_version\":1,\"endpoint\":" << quoted(endpoint)
-     << ",\"status\":" << status << ",\"error\":" << quoted(error)
-     << ",\"result\":" << (result_json.empty() ? "null" : result_json) << "}";
-  return os.str();
+  std::string out = obs::json_render(obs::JsonValue::Object{
+      {"schema_version", 1}, {"endpoint", endpoint}, {"status", status},
+      {"error", error}});
+  // Splice: result_json was rendered once at evaluation, and every cache
+  // hit reuses those bytes.
+  out.pop_back();
+  out.reserve(out.size() + result_json.size() + 16);
+  out += ",\"result\":";
+  out += result_json.empty() ? "null" : result_json;
+  out += '}';
+  return out;
 }
 
 std::optional<Response> Response::from_json(std::string_view text,
@@ -498,14 +451,16 @@ std::optional<Response> Response::from_json(std::string_view text,
   const obs::JsonValue* endpoint = doc->find("endpoint");
   const obs::JsonValue* message = doc->find("error");
   const obs::JsonValue* result = doc->find("result");
-  if (status == nullptr || !status->is_number() || endpoint == nullptr ||
+  const std::optional<std::uint64_t> code =
+      status != nullptr ? status->as_u64() : std::nullopt;
+  if (!code || *code < 100 || *code > 599 || endpoint == nullptr ||
       !endpoint->is_string() || message == nullptr || !message->is_string()) {
-    *error = "response needs numeric \"status\" and string "
+    *error = "response needs an integer \"status\" in 100..599 and string "
              "\"endpoint\"/\"error\" fields";
     return std::nullopt;
   }
   Response response;
-  response.status = static_cast<int>(status->as_number());
+  response.status = static_cast<int>(*code);
   response.endpoint = endpoint->as_string();
   response.error = message->as_string();
   if (result != nullptr && !result->is_null()) {

@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace mhs::svc {
@@ -82,7 +83,7 @@ struct RequestOutcome {
 /// The six cycle buckets of `profile` as JSON object members
 /// (`"sw_execute":N,...,"idle":N`, obs::Profile category order): the one
 /// spelling of the cosim result's profile and of /v1/requests entries.
-std::string profile_buckets_json(const obs::Profile& profile);
+obs::JsonValue::Object profile_buckets(const obs::Profile& profile);
 
 // ---------------------------------------------------------------- params
 
@@ -206,9 +207,14 @@ struct Response {
   std::string json() const;
 
   /// Parses a response body (the client half; also the round-trip
-  /// test). `result_json` is re-rendered through obs::json_render, so a
-  /// parsed response's json() equals the original body whenever the
-  /// original result was render-canonical (every in-tree producer is).
+  /// test). `status` must be an integer in 100..599. `result_json` is
+  /// re-rendered through obs::json_render, integers digit for digit, so
+  /// a parsed response's json() equals the original body whenever the
+  /// original result was render-canonical. Every flow, explore, cosim,
+  /// lint, health and /v1/requests result is; /v1/metrics and
+  /// /v1/trace/<id> are not, because their times use obs's fixed
+  /// 3-decimal format ("total_us":1104.978 comes back as
+  /// 1104.9780000000001).
   static std::optional<Response> from_json(std::string_view text,
                                            std::string* error);
 

@@ -1,8 +1,8 @@
 #include "svc/dispatch.h"
 
+#include <bit>
 #include <exception>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -106,19 +106,17 @@ struct KeyBuilder {
     sig.push_back('\x1f');
   }
   void hash(std::uint64_t h) { text(std::to_string(h)); }
-  void number(double v) { text(std::to_string(v)); }
+  /// Exact bits: doubles that differ anywhere never share an entry.
+  void number(double v) { hash(std::bit_cast<std::uint64_t>(v)); }
   std::uint64_t finish() const { return fnv1a(sig); }
 };
 
-// ------------------------------------------------------------ JSON pieces
+// ------------------------------------------------------------ result JSON
+// One builder per result kind: each result is one obs::JsonValue tree,
+// rendered once by obs::json_render when it is evaluated.
 
-std::string num(double v) { return obs::json_render(obs::JsonValue(v)); }
-std::string num(std::uint64_t v) { return std::to_string(v); }
-std::string num(std::int64_t v) { return std::to_string(v); }
-std::string str(std::string_view s) {
-  return "\"" + obs::json_escape(s) + "\"";
-}
-const char* flag(bool b) { return b ? "true" : "false"; }
+using Array = obs::JsonValue::Array;
+using Object = obs::JsonValue::Object;
 
 /// The summary of the process-wide registry (empty when none is
 /// installed).
@@ -127,58 +125,122 @@ obs::Summary global_summary() {
   return r != nullptr ? r->summary() : obs::Summary{};
 }
 
-std::string diagnostics_json(const analysis::Diagnostics& diags) {
-  std::ostringstream os;
-  os << "{\"errors\":" << num(diags.error_count())
-     << ",\"warnings\":" << num(diags.warn_count())
-     << ",\"notes\":" << num(diags.note_count())
-     << ",\"clean\":" << flag(diags.clean()) << ",\"findings\":" << diags.json()
-     << "}";
-  return os.str();
+/// `head` followed by the members of `tail`.
+Object join(Object head, Object tail) {
+  head.insert(head.end(), std::make_move_iterator(tail.begin()),
+              std::make_move_iterator(tail.end()));
+  return head;
 }
 
-std::string resilience_json(const fault::ResilienceReport& r) {
-  std::ostringstream os;
-  os << "{\"injected\":" << num(r.injected) << ",\"detected\":" << num(r.detected)
-     << ",\"recovered\":" << num(r.recovered) << ",\"retries\":" << num(r.retries)
-     << ",\"degradations\":" << num(r.degradations)
-     << ",\"recovery_cycles\":" << num(r.recovery_cycles) << ",\"by_kind\":{";
+/// The counts and findings of `diags`: the flow's "diagnostics" object
+/// and the tail of the lint result.
+Object diagnostics_members(const analysis::Diagnostics& diags) {
+  return {{"errors", diags.error_count()}, {"warnings", diags.warn_count()},
+          {"notes", diags.note_count()}, {"clean", diags.clean()},
+          {"findings", diags.to_json()}};
+}
+
+obs::JsonValue cosim_result(const sim::CosimReport& r, std::size_t samples) {
+  const fault::ResilienceReport& f = r.resilience;
+  Object by_kind;
   for (std::size_t i = 0; i < fault::kNumFaultKinds; ++i) {
-    if (i != 0) os << ",";
-    os << str(fault::fault_kind_name(fault::kAllFaultKinds[i])) << ":"
-       << num(r.injected_by_kind[i]);
+    by_kind.emplace_back(fault::fault_kind_name(fault::kAllFaultKinds[i]),
+                         f.injected_by_kind[i]);
   }
-  os << "}}";
-  return os.str();
+  return Object{
+      {"level", sim::interface_level_name(r.level)}, {"samples", samples},
+      {"total_cycles", r.total_cycles}, {"sim_events", r.sim_events},
+      {"sw_instructions", r.sw_instructions},
+      {"bus_accesses", r.bus_accesses}, {"bus_busy_cycles", r.bus_busy_cycles},
+      {"signal_transitions", r.signal_transitions}, {"checksum", r.checksum},
+      {"hw_activations", r.hw_activations},
+      {"profile",
+       join({{"total", r.profile.total()}}, profile_buckets(r.profile))},
+      {"resilience",
+       Object{{"injected", f.injected}, {"detected", f.detected},
+              {"recovered", f.recovered}, {"retries", f.retries},
+              {"degradations", f.degradations},
+              {"recovery_cycles", f.recovery_cycles},
+              {"by_kind", std::move(by_kind)}}}};
 }
 
-std::string cosim_json(const sim::CosimReport& r, std::size_t samples) {
-  std::ostringstream os;
-  os << "{\"level\":" << str(sim::interface_level_name(r.level))
-     << ",\"samples\":" << num(samples)
-     << ",\"total_cycles\":" << num(r.total_cycles)
-     << ",\"sim_events\":" << num(r.sim_events)
-     << ",\"sw_instructions\":" << num(r.sw_instructions)
-     << ",\"bus_accesses\":" << num(r.bus_accesses)
-     << ",\"bus_busy_cycles\":" << num(static_cast<std::uint64_t>(r.bus_busy_cycles))
-     << ",\"signal_transitions\":" << num(r.signal_transitions)
-     << ",\"checksum\":" << num(r.checksum)
-     << ",\"hw_activations\":" << num(r.hw_activations)
-     << ",\"profile\":{\"total\":" << num(r.profile.total()) << ","
-     << profile_buckets_json(r.profile) << "}"
-     << ",\"resilience\":" << resilience_json(r.resilience) << "}";
-  return os.str();
+obs::JsonValue flow_result(const core::FlowReport& report,
+                           std::size_t cosim_samples) {
+  const partition::PartitionResult& part = report.design.partition;
+  const partition::Metrics& m = part.metrics;
+  const ir::OptimizeStats& opt = report.report.optimize_stats;
+  Array mapping;
+  for (const bool in_hw : part.mapping) mapping.emplace_back(in_hw ? 1 : 0);
+  return Object{
+      {"strategy", part.algorithm}, {"tasks", report.annotated.num_tasks()},
+      {"tasks_in_hw", m.tasks_in_hw}, {"mapping", std::move(mapping)},
+      {"latency_cycles", m.latency_cycles}, {"hw_area", m.hw_area},
+      {"sw_code_bytes", m.sw_code_bytes},
+      {"cross_comm_cycles", m.cross_comm_cycles}, {"energy", m.energy},
+      {"evaluations", part.evaluations},
+      {"all_sw_latency", report.design.all_sw_latency},
+      {"speedup", report.design.speedup()},
+      {"validated_hw_area", report.validated_hw_area},
+      {"area_estimate_ratio", report.area_estimate_ratio},
+      {"optimize",
+       Object{{"ops_before", opt.ops_before}, {"ops_after", opt.ops_after},
+              {"constants_folded", opt.constants_folded},
+              {"identities_applied", opt.identities_applied},
+              {"subexpressions_merged", opt.subexpressions_merged},
+              {"range_rewrites", opt.range_rewrites},
+              {"dead_ops_removed", opt.dead_ops_removed}}},
+      {"diagnostics", diagnostics_members(report.report.diagnostics)},
+      {"cosim", report.cosim ? cosim_result(*report.cosim, cosim_samples)
+                             : obs::JsonValue()}};
 }
 
-std::string mapping_json(const partition::Mapping& mapping) {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < mapping.size(); ++i) {
-    if (i != 0) os << ",";
-    os << (mapping[i] ? "1" : "0");
+obs::JsonValue explore_result(
+    const core::ExploreReport& report,
+    const std::vector<partition::Strategy>& strategies,
+    const std::vector<partition::Objective>& objectives) {
+  Array points;
+  for (const core::PointResult& point : report.points) {
+    // cross_product order is objective-major over strategies.
+    const partition::Objective& objective =
+        objectives[(point.index / strategies.size()) % objectives.size()];
+    const partition::Metrics& m = point.partition.metrics;
+    Object entry{{"index", point.index},
+                 {"strategy", partition::strategy_name(point.strategy)},
+                 {"latency_target", objective.latency_target},
+                 {"error", point.error}};
+    if (point.error.empty()) {
+      entry = join(std::move(entry),
+                   {{"latency_cycles", m.latency_cycles},
+                    {"hw_area", m.hw_area}, {"tasks_in_hw", m.tasks_in_hw},
+                    {"evaluations", point.partition.evaluations},
+                    {"all_sw_latency", point.all_sw_latency},
+                    {"speedup", point.speedup},
+                    {"on_frontier", point.on_frontier}});
+    }
+    points.emplace_back(std::move(entry));
   }
-  os << "]";
-  return os.str();
+  return Object{
+      {"points", std::move(points)},
+      {"frontier", Array(report.frontier.begin(), report.frontier.end())}};
+}
+
+obs::JsonValue lint_result(const LintParams& lint,
+                           const analysis::Diagnostics& diags) {
+  // The exit-code policy of mhs_lint: errors always fail; in strict mode
+  // warnings fail too.
+  const bool fails = diags.has_errors() || (lint.strict && !diags.clean());
+  return join({{"artifacts", lint.artifacts.size()}, {"strict", lint.strict},
+               {"ranges", lint.ranges}, {"exit_code", fails ? 1 : 0}},
+              diagnostics_members(diags));
+}
+
+obs::JsonValue health_result() {
+  Array endpoints;
+  for (const Endpoint e : kAllEndpoints) {
+    endpoints.emplace_back(endpoint_path(e));
+  }
+  return Object{{"status", "ok"}, {"service", "mhs_serve"},
+                {"schema_version", 1}, {"endpoints", std::move(endpoints)}};
 }
 
 }  // namespace
@@ -536,8 +598,8 @@ Dispatcher::Dispatcher() : results_(kResultCacheShards) {}
 std::string Dispatcher::metrics_json() const {
   // Both halves render the process-wide registry every request merges
   // into (obs::registry() would be this metrics request's own): the svc
-  // block repeats its svc.* counters, and the obs block rides the one
-  // serialization path the obs layer owns (summary_json).
+  // block repeats its svc.* counters, and the obs block is obs's own
+  // summary_json.
   const obs::Summary summary = global_summary();
   const auto counter = [&summary](std::string_view name) {
     for (const obs::CounterStat& c : summary.counters) {
@@ -545,15 +607,17 @@ std::string Dispatcher::metrics_json() const {
     }
     return std::uint64_t{0};
   };
-  std::ostringstream os;
-  os << "{\"svc\":{\"requests\":" << num(counter("svc.requests"))
-     << ",\"evaluations\":" << num(counter("svc.evaluations"))
-     << ",\"coalesced\":" << num(counter("svc.coalesced"))
-     << ",\"cache_hits\":" << num(counter("svc.cache.hits"))
-     << ",\"errors\":" << num(counter("svc.errors"))
-     << ",\"result_cache_size\":" << num(results_.size()) << "}"
-     << ",\"obs\":" << obs::summary_json(summary) << "}";
-  return os.str();
+  std::string out = obs::json_render(Object{
+      {"svc", Object{{"requests", counter("svc.requests")},
+                     {"evaluations", counter("svc.evaluations")},
+                     {"coalesced", counter("svc.coalesced")},
+                     {"cache_hits", counter("svc.cache.hits")},
+                     {"errors", counter("svc.errors")},
+                     {"result_cache_size", results_.size()}}}});
+  // Splice: summary_json's times use obs's fixed 3-decimal format, the
+  // same as the Chrome trace's.
+  out.pop_back();
+  return out + ",\"obs\":" + obs::summary_json(summary) + '}';
 }
 
 std::string Dispatcher::metrics_prometheus() const {
@@ -575,45 +639,9 @@ Dispatcher::Evaluation Dispatcher::evaluate(const Prepared& prep) {
       case Endpoint::kFlow: {
         const core::FlowReport report =
             core::run_codesign_flow(prep.graph, prep.kernels, prep.config);
-        const partition::PartitionResult& part = report.design.partition;
-        std::ostringstream os;
-        os << "{\"strategy\":" << str(part.algorithm)
-           << ",\"tasks\":" << num(report.annotated.num_tasks())
-           << ",\"tasks_in_hw\":" << num(part.metrics.tasks_in_hw)
-           << ",\"mapping\":" << mapping_json(part.mapping)
-           << ",\"latency_cycles\":" << num(part.metrics.latency_cycles)
-           << ",\"hw_area\":" << num(part.metrics.hw_area)
-           << ",\"sw_code_bytes\":" << num(part.metrics.sw_code_bytes)
-           << ",\"cross_comm_cycles\":" << num(part.metrics.cross_comm_cycles)
-           << ",\"energy\":" << num(part.metrics.energy)
-           << ",\"evaluations\":" << num(part.evaluations)
-           << ",\"all_sw_latency\":" << num(report.design.all_sw_latency)
-           << ",\"speedup\":" << num(report.design.speedup())
-           << ",\"validated_hw_area\":" << num(report.validated_hw_area)
-           << ",\"area_estimate_ratio\":" << num(report.area_estimate_ratio)
-           << ",\"optimize\":{\"ops_before\":"
-           << num(report.report.optimize_stats.ops_before)
-           << ",\"ops_after\":" << num(report.report.optimize_stats.ops_after)
-           << ",\"constants_folded\":"
-           << num(report.report.optimize_stats.constants_folded)
-           << ",\"identities_applied\":"
-           << num(report.report.optimize_stats.identities_applied)
-           << ",\"subexpressions_merged\":"
-           << num(report.report.optimize_stats.subexpressions_merged)
-           << ",\"range_rewrites\":"
-           << num(report.report.optimize_stats.range_rewrites)
-           << ",\"dead_ops_removed\":"
-           << num(report.report.optimize_stats.dead_ops_removed) << "}"
-           << ",\"diagnostics\":"
-           << diagnostics_json(report.report.diagnostics) << ",\"cosim\":";
-        if (report.cosim.has_value()) {
-          os << cosim_json(*report.cosim, prep.config.cosim_samples);
-          out.profile = report.cosim->profile;
-        } else {
-          os << "null";
-        }
-        os << "}";
-        resp.result_json = os.str();
+        resp.result_json =
+            obs::json_render(flow_result(report, prep.config.cosim_samples));
+        if (report.cosim.has_value()) out.profile = report.cosim->profile;
         return out;
       }
       case Endpoint::kExplore: {
@@ -623,38 +651,8 @@ Dispatcher::Evaluation Dispatcher::evaluate(const Prepared& prep) {
         const core::ExploreReport report = explorer.sweep(
             {core::FlowConfig::defaults().without_cosim()}, prep.strategies,
             prep.objectives);
-        std::ostringstream os;
-        os << "{\"points\":[";
-        for (std::size_t i = 0; i < report.points.size(); ++i) {
-          const core::PointResult& point = report.points[i];
-          // cross_product order is objective-major over strategies.
-          const std::size_t objective_index =
-              (point.index / prep.strategies.size()) % prep.objectives.size();
-          if (i != 0) os << ",";
-          os << "{\"index\":" << num(point.index) << ",\"strategy\":"
-             << str(partition::strategy_name(point.strategy))
-             << ",\"latency_target\":"
-             << num(prep.objectives[objective_index].latency_target);
-          if (!point.error.empty()) {
-            os << ",\"error\":" << str(point.error) << "}";
-            continue;
-          }
-          os << ",\"error\":\"\""
-             << ",\"latency_cycles\":" << num(point.partition.metrics.latency_cycles)
-             << ",\"hw_area\":" << num(point.partition.metrics.hw_area)
-             << ",\"tasks_in_hw\":" << num(point.partition.metrics.tasks_in_hw)
-             << ",\"evaluations\":" << num(point.partition.evaluations)
-             << ",\"all_sw_latency\":" << num(point.all_sw_latency)
-             << ",\"speedup\":" << num(point.speedup)
-             << ",\"on_frontier\":" << flag(point.on_frontier) << "}";
-        }
-        os << "],\"frontier\":[";
-        for (std::size_t i = 0; i < report.frontier.size(); ++i) {
-          if (i != 0) os << ",";
-          os << num(report.frontier[i]);
-        }
-        os << "]}";
-        resp.result_json = os.str();
+        resp.result_json = obs::json_render(
+            explore_result(report, prep.strategies, prep.objectives));
         return out;
       }
       case Endpoint::kCosim:
@@ -675,7 +673,7 @@ Dispatcher::Evaluation Dispatcher::evaluate(const Prepared& prep) {
         sreq.samples = &samples;
         sreq.cosim = prep.cosim;
         const sim::CosimReport report = std::move(sim::run(sreq).cosim).value();
-        resp.result_json = cosim_json(report, prep.samples);
+        resp.result_json = obs::json_render(cosim_result(report, prep.samples));
         out.profile = report.profile;
         return out;
       }
@@ -690,41 +688,12 @@ Dispatcher::Evaluation Dispatcher::evaluate(const Prepared& prep) {
                 "artifacts[" + std::to_string(i) + "]: " + artifact_error)};
           }
         }
-        // The exit-code policy of mhs_lint: errors always fail; in
-        // strict mode warnings fail too.
-        int exit_code = 0;
-        if (diags.has_errors()) {
-          exit_code = 1;
-        } else if (prep.lint.strict && !diags.clean()) {
-          exit_code = 1;
-        }
-        std::ostringstream os;
-        os << "{\"artifacts\":" << num(prep.lint.artifacts.size())
-           << ",\"strict\":" << flag(prep.lint.strict)
-           << ",\"ranges\":" << flag(prep.lint.ranges)
-           << ",\"exit_code\":" << exit_code
-           << ",\"errors\":" << num(diags.error_count())
-           << ",\"warnings\":" << num(diags.warn_count())
-           << ",\"notes\":" << num(diags.note_count())
-           << ",\"clean\":" << flag(diags.clean())
-           << ",\"findings\":" << diags.json() << "}";
-        resp.result_json = os.str();
+        resp.result_json = obs::json_render(lint_result(prep.lint, diags));
         return out;
       }
-      case Endpoint::kHealth: {
-        std::ostringstream os;
-        os << "{\"status\":\"ok\",\"service\":\"mhs_serve\",\"schema_version\""
-              ":1,\"endpoints\":[";
-        bool first = true;
-        for (const Endpoint e : kAllEndpoints) {
-          if (!first) os << ",";
-          first = false;
-          os << str(endpoint_path(e));
-        }
-        os << "]}";
-        resp.result_json = os.str();
+      case Endpoint::kHealth:
+        resp.result_json = obs::json_render(health_result());
         return out;
-      }
       case Endpoint::kMetrics:
         resp.result_json = metrics_json();
         return out;

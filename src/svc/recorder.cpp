@@ -1,7 +1,6 @@
 #include "svc/recorder.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "obs/json.h"
 #include "svc/api.h"
@@ -35,26 +34,20 @@ std::vector<RecordedRequest> FlightRecorder::snapshot() const {
 }
 
 std::string FlightRecorder::json() const {
-  const std::vector<RecordedRequest> entries = snapshot();
-  std::ostringstream os;
-  os << "{\"capacity\":" << slots_.size() << ",\"recorded\":" << recorded()
-     << ",\"entries\":[";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const RecordedRequest& r = entries[i];
-    if (i != 0) os << ',';
-    os << "{\"seq\":" << r.seq << ",\"trace_id\":\""
-       << obs::json_escape(r.trace_id) << "\",\"endpoint\":\""
-       << obs::json_escape(r.endpoint) << "\",\"status\":" << r.status
-       << ",\"parse_us\":" << r.parse_us << ",\"queue_us\":" << r.queue_us
-       << ",\"dispatch_us\":" << r.dispatch_us
-       << ",\"respond_us\":" << r.respond_us << ",\"total_us\":" << r.total_us
-       << ",\"cache_hit\":" << (r.cache_hit ? "true" : "false")
-       << ",\"coalesced\":" << (r.coalesced ? "true" : "false")
-       << ",\"total_cycles\":" << r.profile.total() << ",\"profile\":{"
-       << profile_buckets_json(r.profile) << "}}";
+  obs::JsonValue::Array entries;
+  for (const RecordedRequest& r : snapshot()) {
+    entries.emplace_back(obs::JsonValue::Object{
+        {"seq", r.seq}, {"trace_id", r.trace_id}, {"endpoint", r.endpoint},
+        {"status", r.status}, {"parse_us", r.parse_us},
+        {"queue_us", r.queue_us}, {"dispatch_us", r.dispatch_us},
+        {"respond_us", r.respond_us}, {"total_us", r.total_us},
+        {"cache_hit", r.cache_hit}, {"coalesced", r.coalesced},
+        {"total_cycles", r.profile.total()},
+        {"profile", profile_buckets(r.profile)}});
   }
-  os << "]}";
-  return os.str();
+  return obs::json_render(obs::JsonValue::Object{
+      {"capacity", slots_.size()}, {"recorded", recorded()},
+      {"entries", std::move(entries)}});
 }
 
 // ------------------------------------------------------------- TraceStore

@@ -70,7 +70,7 @@ TEST(Diag, JsonRendersAndParses) {
   diags.add("CDFG001", Severity::kError, {"op", 5, "alpha \"q\""},
             "a \"quoted\" message");
   diags.add("TG100", Severity::kWarn, {"task", -1, ""}, "whole graph");
-  const std::string json = diags.json();
+  const std::string json = obs::json_render(diags.to_json());
   const auto parsed = obs::json_parse(json);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->is_array());

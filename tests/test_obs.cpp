@@ -6,8 +6,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/kernels.h"
@@ -573,6 +575,72 @@ TEST(ObsJson, NumberGrammarEdges) {
   EXPECT_FALSE(json_is_valid("1e"));
   EXPECT_FALSE(json_is_valid("-"));
   EXPECT_FALSE(json_is_valid("0x10"));
+  // A literal that overflows a double is an error, not an infinity; one
+  // that underflows is 0.
+  EXPECT_FALSE(json_is_valid("1e400"));
+  EXPECT_FALSE(json_is_valid("-1e400"));
+  EXPECT_FALSE(json_is_valid("[1, 1e400]"));
+  EXPECT_TRUE(json_is_valid("1e308"));
+  EXPECT_TRUE(json_is_valid("1e-400"));
+  JsonError error;
+  EXPECT_FALSE(json_parse("{\"w\": -1e400}", &error).has_value());
+  EXPECT_EQ(error.message, "number out of range");
+  EXPECT_EQ(error.column, 7u);  // the number's first character
+}
+
+TEST(ObsJson, IntegerBoundariesRenderBackToThemselves) {
+  // {token, its canonical render}. Every integer of at most 64 bits
+  // keeps its digits; one past either end becomes a double.
+  const std::pair<const char*, const char*> table[] = {
+      {"0", "0"},
+      {"-0", "0"},
+      {"9007199254740991", "9007199254740991"},
+      {"9007199254740993", "9007199254740993"},
+      {"-9007199254740991", "-9007199254740991"},
+      {"-9007199254740993", "-9007199254740993"},
+      {"-9223372036854775808", "-9223372036854775808"},
+      {"-9223372036854775809", "-9.2233720368547758e+18"},
+      {"9223372036854775807", "9223372036854775807"},
+      {"18446744073709551615", "18446744073709551615"},
+      {"18446744073709551616", "1.8446744073709552e+19"},
+      {"1.0", "1"},
+      {"1e308", "1e+308"},
+      {"1e-400", "0"},
+  };
+  for (const auto& [token, canonical] : table) {
+    const std::optional<JsonValue> parsed = json_parse(token);
+    ASSERT_TRUE(parsed.has_value()) << token;
+    EXPECT_TRUE(parsed->is_number()) << token;
+    const std::string rendered = json_render(*parsed);
+    EXPECT_EQ(rendered, canonical) << token;
+    const std::optional<JsonValue> again = json_parse(rendered);
+    ASSERT_TRUE(again.has_value()) << rendered;
+    EXPECT_EQ(json_render(*again), rendered) << token;
+    EXPECT_EQ(again->as_number(), parsed->as_number()) << token;
+  }
+}
+
+TEST(ObsJson, IntegersAreExactAndDoublesAreNot) {
+  EXPECT_EQ(json_render(JsonValue(INT64_MIN)), "-9223372036854775808");
+  EXPECT_EQ(json_render(JsonValue(UINT64_MAX)), "18446744073709551615");
+  EXPECT_EQ(json_render(JsonValue(-1)), "-1");
+  EXPECT_EQ(json_render(JsonValue(std::uint8_t{255})), "255");
+  EXPECT_EQ(json_render(JsonValue(true)), "true");
+  EXPECT_EQ(json_render(JsonValue(0.5)), "0.5");
+  EXPECT_EQ(json_render(JsonValue("text")), "\"text\"");
+
+  // as_u64 is exact and only for non-negative integer tokens.
+  EXPECT_EQ(json_parse("18446744073709551615")->as_u64(), UINT64_MAX);
+  EXPECT_EQ(json_parse("9007199254740993")->as_u64(), 9007199254740993u);
+  EXPECT_EQ(json_parse("-0")->as_u64(), 0u);
+  for (const char* not_u64 :
+       {"-1", "8.9", "8.0", "1e3", "18446744073709551616", "\"8\"", "true"}) {
+    EXPECT_FALSE(json_parse(not_u64)->as_u64().has_value()) << not_u64;
+  }
+  // Every integer still reads as a number.
+  EXPECT_EQ(json_parse("-9223372036854775808")->as_number(),
+            -9.2233720368547758e18);
+  EXPECT_EQ(JsonValue(std::uint64_t{7}).kind(), JsonValue::Kind::kNumber);
 }
 
 TEST(ObsJson, EscapesAndNestedArrays) {

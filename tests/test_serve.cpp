@@ -11,8 +11,10 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <iomanip>
@@ -30,6 +32,7 @@
 #include "base/rng.h"
 #include "core/flow.h"
 #include "fault/fault.h"
+#include "fuzz_env.h"
 #include "hw/hls.h"
 #include "obs/json.h"
 #include "sim/cosim.h"
@@ -205,8 +208,24 @@ TEST(ServeApi, ResponseJsonRoundTripsByteIdentical) {
   ok.endpoint = "cosim";
   ok.result_json = "{\"checksum\":-12,\"total_cycles\":466,\"x\":1.5}";
   const Response bad = Response::failure(400, "flow", "graph: truncated");
+  Response extremes = ok;
+  extremes.result_json =
+      "{\"min\":-9223372036854775808,\"max\":18446744073709551615}";
 
-  for (const Response& response : {ok, bad}) {
+  // A fault campaign whose checksum needs more than a double's 53 bits.
+  Request campaign;
+  campaign.endpoint = Endpoint::kFaultCampaign;
+  campaign.cosim.kernel = "fir8";
+  campaign.cosim.level = "pin";
+  campaign.cosim.samples = 16;
+  campaign.cosim.faults.push_back({"bus_bit_flip", 0.5, 62, UINT64_MAX});
+  campaign.cosim.fault_seed = 2;
+  Dispatcher dispatcher;
+  const Response reply = dispatcher.handle(campaign);
+  ASSERT_TRUE(reply.ok()) << reply.error;
+  EXPECT_GT(std::abs(result_number(reply, "checksum")), 9007199254740992.0);
+
+  for (const Response& response : {ok, bad, extremes, reply}) {
     const std::string wire = response.json();
     EXPECT_TRUE(obs::json_is_valid(wire)) << wire;
     std::string error;
@@ -215,6 +234,86 @@ TEST(ServeApi, ResponseJsonRoundTripsByteIdentical) {
     EXPECT_EQ(parsed->json(), wire);
     EXPECT_EQ(parsed->status, response.status);
     EXPECT_EQ(parsed->error, response.error);
+  }
+
+  // status is an integer HTTP status, never a rounded or wrapped double.
+  for (const char* status :
+       {"1e300", "200.5", "-200", "99", "600", "\"200\""}) {
+    const std::string body =
+        std::string("{\"endpoint\":\"cosim\",\"status\":") + status +
+        ",\"error\":\"\",\"result\":null}";
+    std::string error;
+    EXPECT_FALSE(Response::from_json(body, &error).has_value()) << body;
+    EXPECT_NE(error.find("status"), std::string::npos) << error;
+  }
+}
+
+TEST(ServeApi, U64FieldsKeepEveryDigit) {
+  Rng rng(0x64);
+  std::vector<std::uint64_t> values = {0, 9007199254740992u,
+                                       9007199254740993u, UINT64_MAX};
+  for (int i = 0; i < 64; ++i) values.push_back(fuzz::raw_u64(rng));
+  for (const std::uint64_t v : values) {
+    Request flow;
+    flow.endpoint = Endpoint::kFlow;
+    flow.flow.cosim_samples = v;
+    flow.flow.cosim_seed = v;
+    Request explore;
+    explore.endpoint = Endpoint::kExplore;
+    explore.explore.threads = v;
+    Request campaign;
+    campaign.endpoint = Endpoint::kFaultCampaign;
+    campaign.cosim.samples = v;
+    campaign.cosim.seed = v;
+    campaign.cosim.fault_seed = v;
+    campaign.cosim.faults.push_back({"bus_bit_flip", 0.5, v, v});
+
+    for (const Request& request : {flow, explore, campaign}) {
+      const std::string wire = request.json();
+      std::string error;
+      const std::optional<Request> parsed = Request::from_json(wire, &error);
+      ASSERT_TRUE(parsed.has_value()) << error;
+      EXPECT_EQ(parsed->json(), wire) << v;
+    }
+    const std::optional<Request> f = Request::from_json(flow.json(), nullptr);
+    EXPECT_EQ(f->flow.cosim_samples, v);
+    EXPECT_EQ(f->flow.cosim_seed, v);
+    const std::optional<Request> e =
+        Request::from_json(explore.json(), nullptr);
+    EXPECT_EQ(e->explore.threads, v);
+    const std::optional<Request> c =
+        Request::from_json(campaign.json(), nullptr);
+    EXPECT_EQ(c->cosim.samples, v);
+    EXPECT_EQ(c->cosim.seed, v);
+    EXPECT_EQ(c->cosim.fault_seed, v);
+    EXPECT_EQ(c->cosim.faults.at(0).param, v);
+    EXPECT_EQ(c->cosim.faults.at(0).max_count, v);
+    EXPECT_NE(campaign.json().find(std::to_string(v)), std::string::npos);
+  }
+}
+
+TEST(ServeApi, InexactOrOverflowingNumbersAreA400) {
+  // A u64 field takes a plain non-negative integer token and nothing
+  // else: at most 2^64-1, no fraction, no sign, no exponent.
+  for (const char* samples :
+       {"8.9", "-1", "1e3", "8.0", "18446744073709551616"}) {
+    const std::string body =
+        std::string("{\"endpoint\":\"cosim\",\"params\":{\"kernel\":\"fir8\","
+                    "\"samples\":") +
+        samples + "}}";
+    std::string error;
+    EXPECT_FALSE(Request::from_json(body, &error).has_value()) << body;
+    EXPECT_NE(error.find("params.samples"), std::string::npos) << error;
+  }
+  // A number that overflows a double is not an infinite weight.
+  for (const char* body :
+       {"{\"endpoint\":\"flow\",\"params\":{\"workload\":\"dsp_chain\","
+        "\"area_weight\":1e400}}",
+        "{\"endpoint\":\"explore\",\"params\":{\"workload\":\"dsp_chain\","
+        "\"latency_targets\":[1e400]}}"}) {
+    std::string error;
+    EXPECT_FALSE(Request::from_json(body, &error).has_value()) << body;
+    EXPECT_NE(error.find("number out of range"), std::string::npos) << error;
   }
 }
 
@@ -364,6 +463,67 @@ TEST(ServeDispatch, RepeatedRequestIsCachedAndByteIdentical) {
   EXPECT_EQ(counters.counter("svc.evaluations"), 1u);
   EXPECT_EQ(counters.counter("svc.cache.hits"), 1u);
   EXPECT_EQ(counters.counter("svc.errors"), 0u);
+}
+
+TEST(ServeDispatch, SeedsPast2To53AreDistinctRequests) {
+  // Both seeds arrive as wire bodies: 2^53 + 1 must not be read as 2^53
+  // and answered from that seed's cache entry.
+  obs::Registry counters;
+  std::vector<Response> replies;
+  {
+    obs::ScopedRegistry installed(counters);
+    Dispatcher dispatcher;
+    for (const char* seed : {"9007199254740992", "9007199254740993"}) {
+      std::string error;
+      const std::optional<Request> request = Request::from_json(
+          std::string("{\"endpoint\":\"cosim\",\"params\":{\"kernel\":"
+                      "\"fir8\",\"samples\":4,\"seed\":") +
+              seed + "}}",
+          &error);
+      ASSERT_TRUE(request.has_value()) << error;
+      replies.push_back(dispatcher.handle(*request));
+      ASSERT_TRUE(replies.back().ok()) << replies.back().error;
+    }
+  }
+  EXPECT_EQ(counters.counter("svc.evaluations"), 2u);
+  EXPECT_EQ(counters.counter("svc.cache.hits"), 0u);
+
+  Request direct;
+  direct.endpoint = Endpoint::kCosim;
+  direct.cosim.kernel = "fir8";
+  direct.cosim.samples = 4;
+  direct.cosim.seed = 9007199254740993u;
+  EXPECT_EQ(replies[1].json(), Dispatcher().handle(direct).json());
+  EXPECT_NE(replies[0].json(), replies[1].json());
+}
+
+TEST(ServeDispatch, DoublesDifferingPastTheSixthDecimalDoNotShareAnEntry) {
+  Request light;
+  light.endpoint = Endpoint::kFlow;
+  light.flow.workload = "dsp_chain";
+  light.flow.area_weight = 1e-7;
+  Request heavy = light;
+  heavy.flow.area_weight = 2e-7;
+  Request low;
+  low.endpoint = Endpoint::kExplore;
+  low.explore.workload = "dsp_chain";
+  low.explore.latency_targets = {1113.0000001};
+  Request high = low;
+  high.explore.latency_targets = {1113.0000004};
+
+  for (const auto& [a, b] : {std::pair{light, heavy}, std::pair{low, high}}) {
+    obs::Registry counters;
+    std::vector<Response> replies;
+    {
+      obs::ScopedRegistry installed(counters);
+      Dispatcher dispatcher;
+      replies = {dispatcher.handle(a), dispatcher.handle(b)};
+    }
+    EXPECT_EQ(counters.counter("svc.evaluations"), 2u) << b.json();
+    EXPECT_EQ(counters.counter("svc.cache.hits"), 0u) << b.json();
+    EXPECT_EQ(replies[0].json(), Dispatcher().handle(a).json());
+    EXPECT_EQ(replies[1].json(), Dispatcher().handle(b).json());
+  }
 }
 
 TEST(ServeDispatch, ConcurrentIdenticalRequestsCoalesceToOneEvaluation) {
@@ -1564,6 +1724,94 @@ TEST(ServeGolden, WireBytesAndRecorderFactsMatchTheFixture) {
              outcome_text(cached) + '\n';
   }
   EXPECT_EQ(fixture("serve_golden.txt"), table);
+}
+
+// ------------------------------------------------------- request fuzzing
+
+/// Tokens at the edges of the number kinds: the integer/double seam,
+/// both 64-bit limits and one past them, double overflow and underflow,
+/// and integral values a u64 field must refuse.
+constexpr const char* kBoundaryTokens[] = {
+    "0", "-0", "1", "-1", "8.9", "1.0", "1e3", "1E+2", "0.1",
+    "9007199254740992", "9007199254740993", "-9007199254740993",
+    "9223372036854775807", "-9223372036854775808", "-9223372036854775809",
+    "18446744073709551615", "18446744073709551616", "1e308", "1e400",
+    "-1e400", "1e-400", "4.9e-324", "00", "1.", "-", "1e"};
+
+/// One blind edit of `body`: a byte flip, a digit run spliced into a
+/// number, a boundary token in place of a number, or a truncation.
+void mutate(Rng& rng, std::string* body) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::vector<std::size_t> digits;
+  for (std::size_t i = 0; i < body->size(); ++i) {
+    if (std::isdigit(static_cast<unsigned char>((*body)[i]))) {
+      digits.push_back(i);
+    }
+  }
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      (*body)[pick(body->size())] = static_cast<char>(rng.uniform_int(0, 255));
+      return;
+    case 1:
+      if (!digits.empty()) {
+        std::string run(static_cast<std::size_t>(rng.uniform_int(1, 24)), '0');
+        for (char& c : run) c = static_cast<char>('0' + rng.uniform_int(0, 9));
+        body->insert(digits[pick(digits.size())], run);
+      }
+      return;
+    case 2:
+      if (!digits.empty()) {
+        const auto in_number = [body](std::size_t i) {
+          const char c = (*body)[i];
+          return c != '\0' && std::strchr("+-.eE0123456789", c) != nullptr;
+        };
+        std::size_t start = digits[pick(digits.size())];
+        std::size_t end = start;
+        while (start > 0 && in_number(start - 1)) --start;
+        while (end < body->size() && in_number(end)) ++end;
+        body->replace(start, end - start,
+                      kBoundaryTokens[pick(std::size(kBoundaryTokens))]);
+      }
+      return;
+    default:
+      body->resize(pick(body->size() + 1));
+      return;
+  }
+}
+
+TEST(ServeFuzz, MutatedRequestBodiesFailCleanlyOrReachAFixedPoint) {
+  // Blind mutations of the golden requests' bodies (tests/fuzz_env.h:
+  // MHS_FUZZ_ITERS cases, case i seeded MHS_JSON_SEED's base + i). Every
+  // body either fails with an error, or parses to a request whose json()
+  // parses back to the same bytes.
+  std::vector<std::string> bodies;
+  for (const auto& [label, request] : golden_requests()) {
+    bodies.push_back(request.json());
+  }
+  const std::size_t iters = fuzz::fuzz_iters(10000);
+  const std::uint64_t base = fuzz::fuzz_seed_base("MHS_JSON_SEED", 1);
+  for (std::size_t i = 0; i < iters; ++i) {
+    const std::uint64_t seed = base + i;
+    Rng rng(seed);
+    std::string body = bodies[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(bodies.size()) - 1))];
+    for (std::int64_t edits = rng.uniform_int(1, 3); edits > 0; --edits) {
+      if (!body.empty()) mutate(rng, &body);
+    }
+    std::string error;
+    const std::optional<Request> parsed = Request::from_json(body, &error);
+    if (!parsed.has_value()) {
+      ASSERT_FALSE(error.empty()) << "seed " << seed;
+      continue;
+    }
+    const std::string wire = parsed->json();
+    const std::optional<Request> again = Request::from_json(wire, &error);
+    ASSERT_TRUE(again.has_value()) << "seed " << seed << ": " << error;
+    ASSERT_EQ(again->json(), wire) << "seed " << seed;
+  }
 }
 
 }  // namespace
