@@ -124,7 +124,8 @@ const std::vector<ApproachProfile>& surveyed_approaches() {
                  {kCoSynthesis, kPartitioning},
                  std::nullopt,
                  {kPerformance, kImplementationCost, kConcurrency},
-                 "hw::IncrementalAreaEstimator + partition::run(kKl)",
+                 "partition::run(kKl) scoring one-task moves on "
+                 "partition::CostModel::Walk",
                  "Fig. 8"});
     v.push_back({"Adams/Thomas multiple-process synthesis", "[10]",
                  SystemType::kTypeII,

@@ -5,9 +5,6 @@
 
 namespace mhs::hw {
 
-namespace {
-
-/// Area of shared FU/register pools plus summed controller/wiring.
 double shared_area(const ComponentLibrary& lib, const FuCounts& max_fu,
                    std::size_t max_regs, std::size_t total_states,
                    double total_wiring) {
@@ -21,8 +18,6 @@ double shared_area(const ComponentLibrary& lib, const FuCounts& max_fu,
   area += total_wiring;
   return area;
 }
-
-}  // namespace
 
 HwProfile profile_from_hls(const HlsResult& impl) {
   HwProfile p;

@@ -38,6 +38,15 @@ HwProfile profile_from_hls(const HlsResult& impl);
 HwProfile profile_from_costs(const ir::TaskCosts& costs,
                              const ComponentLibrary& lib);
 
+/// Area of a non-empty set of resident functions from its sharing terms:
+/// per-type FU maxima and the register maximum (shared pools), summed
+/// controller states and summed wiring. The one area formula: the
+/// from-scratch estimate, the incremental estimator and
+/// partition::CostModel all call it.
+double shared_area(const ComponentLibrary& lib, const FuCounts& max_fu,
+                   std::size_t max_regs, std::size_t total_states,
+                   double total_wiring);
+
 /// Shared-datapath area of a set of resident profiles, computed from
 /// scratch in O(n) — the baseline the incremental estimator must match.
 double shared_area_from_scratch(const ComponentLibrary& lib,

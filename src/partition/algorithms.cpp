@@ -21,6 +21,15 @@ PartitionResult finish(std::string name, const CostModel& model,
   return r;
 }
 
+/// Metrics of the walk's mapping with task t on the other side; leaves
+/// the walk where it was.
+Metrics score_flipped(CostModel::Walk& walk, std::size_t t) {
+  walk.flip(t);
+  const Metrics m = walk.score();
+  walk.flip(t);
+  return m;
+}
+
 }  // namespace
 
 static PartitionResult all_sw_impl(const CostModel& model,
@@ -40,10 +49,10 @@ static PartitionResult hot_spot_impl(const CostModel& model,
   MHS_CHECK(objective.latency_target > 0.0,
             "hot_spot partitioning needs a latency target");
   const std::size_t n = model.graph().num_tasks();
-  Mapping mapping(n, false);
+  CostModel::Walk walk(model, objective, Mapping(n, false));
   std::size_t evals = 0;
 
-  Metrics current = model.evaluate(mapping, objective);
+  Metrics current = walk.score();
   ++evals;
   while (current.latency_cycles > objective.latency_target) {
     // Candidate: SW task whose move to HW buys the most latency per area.
@@ -51,11 +60,9 @@ static PartitionResult hot_spot_impl(const CostModel& model,
     double best_ratio = 0.0;
     Metrics best_metrics;
     for (std::size_t t = 0; t < n; ++t) {
-      if (mapping[t]) continue;
-      mapping[t] = true;
-      const Metrics m = model.evaluate(mapping, objective);
+      if (walk.mapping()[t]) continue;
+      const Metrics m = score_flipped(walk, t);
       ++evals;
-      mapping[t] = false;
       const double gain = current.latency_cycles - m.latency_cycles;
       const double added_area = std::max(1e-9, m.hw_area - current.hw_area);
       const double ratio = gain / added_area;
@@ -66,10 +73,10 @@ static PartitionResult hot_spot_impl(const CostModel& model,
       }
     }
     if (best == SIZE_MAX) break;  // no move reduces latency: stuck
-    mapping[best] = true;
+    walk.flip(best);
     current = best_metrics;
   }
-  return finish("hot_spot", model, objective, std::move(mapping), evals);
+  return finish("hot_spot", model, objective, walk.mapping(), evals);
 }
 
 static PartitionResult unload_impl(const CostModel& model,
@@ -77,10 +84,10 @@ static PartitionResult unload_impl(const CostModel& model,
   MHS_CHECK(objective.latency_target > 0.0,
             "unload partitioning needs a latency target");
   const std::size_t n = model.graph().num_tasks();
-  Mapping mapping(n, true);
+  CostModel::Walk walk(model, objective, Mapping(n, true));
   std::size_t evals = 0;
 
-  Metrics current = model.evaluate(mapping, objective);
+  Metrics current = walk.score();
   ++evals;
   bool improved = true;
   while (improved) {
@@ -89,11 +96,9 @@ static PartitionResult unload_impl(const CostModel& model,
     double best_saving = 0.0;
     Metrics best_metrics;
     for (std::size_t t = 0; t < n; ++t) {
-      if (!mapping[t]) continue;
-      mapping[t] = false;
-      const Metrics m = model.evaluate(mapping, objective);
+      if (!walk.mapping()[t]) continue;
+      const Metrics m = score_flipped(walk, t);
       ++evals;
-      mapping[t] = true;
       if (m.latency_cycles > objective.latency_target) continue;
       const double saving = current.hw_area - m.hw_area;
       if (saving > best_saving + 1e-9) {
@@ -103,22 +108,23 @@ static PartitionResult unload_impl(const CostModel& model,
       }
     }
     if (best != SIZE_MAX) {
-      mapping[best] = false;
+      walk.flip(best);
       current = best_metrics;
       improved = true;
     }
   }
-  return finish("unload", model, objective, std::move(mapping), evals);
+  return finish("unload", model, objective, walk.mapping(), evals);
 }
 
 static PartitionResult kl_impl(const CostModel& model,
                                const Objective& objective, Mapping start) {
   const std::size_t n = model.graph().num_tasks();
-  Mapping mapping = start.empty() ? Mapping(n, false) : std::move(start);
-  MHS_CHECK(mapping.size() == n, "start mapping size mismatch");
+  if (start.empty()) start.assign(n, false);
+  MHS_CHECK(start.size() == n, "start mapping size mismatch");
+  CostModel::Walk walk(model, objective, std::move(start));
   std::size_t evals = 0;
 
-  double current = model.evaluate(mapping, objective).energy;
+  double current = walk.score().energy;
   ++evals;
   bool pass_improved = true;
   std::size_t passes = 0;
@@ -128,7 +134,6 @@ static PartitionResult kl_impl(const CostModel& model,
     std::vector<bool> locked(n, false);
     std::vector<std::size_t> move_seq;
     std::vector<double> energy_seq;
-    Mapping work = mapping;
 
     // Greedy sequence of best single-task flips with locking.
     for (std::size_t step = 0; step < n; ++step) {
@@ -136,17 +141,15 @@ static PartitionResult kl_impl(const CostModel& model,
       double best_energy = std::numeric_limits<double>::infinity();
       for (std::size_t t = 0; t < n; ++t) {
         if (locked[t]) continue;
-        work[t] = !work[t];
-        const double e = model.evaluate(work, objective).energy;
+        const double e = score_flipped(walk, t).energy;
         ++evals;
-        work[t] = !work[t];
         if (e < best_energy) {
           best_energy = e;
           best = t;
         }
       }
       if (best == SIZE_MAX) break;
-      work[best] = !work[best];
+      walk.flip(best);
       locked[best] = true;
       move_seq.push_back(best);
       energy_seq.push_back(best_energy);
@@ -161,15 +164,15 @@ static PartitionResult kl_impl(const CostModel& model,
         best_prefix = k + 1;
       }
     }
+    for (std::size_t k = move_seq.size(); k > best_prefix; --k) {
+      walk.flip(move_seq[k - 1]);
+    }
     if (best_prefix > 0) {
-      for (std::size_t k = 0; k < best_prefix; ++k) {
-        mapping[move_seq[k]] = !mapping[move_seq[k]];
-      }
       current = best_energy;
       pass_improved = true;
     }
   }
-  return finish("kl", model, objective, std::move(mapping), evals);
+  return finish("kl", model, objective, walk.mapping(), evals);
 }
 
 static PartitionResult annealed_impl(const CostModel& model,
@@ -177,10 +180,10 @@ static PartitionResult annealed_impl(const CostModel& model,
                                      const opt::AnnealConfig& anneal_config) {
   const std::size_t n = model.graph().num_tasks();
   MHS_CHECK(n > 0, "cannot partition an empty graph");
-  Mapping mapping(n, false);
-  Mapping best = mapping;
+  CostModel::Walk walk(model, objective, Mapping(n, false));
+  Mapping best = walk.mapping();
   std::size_t evals = 0;
-  double energy = model.evaluate(mapping, objective).energy;
+  double energy = walk.score().energy;
   ++evals;
 
   // Scale the initial temperature to a few percent of the problem's
@@ -192,27 +195,30 @@ static PartitionResult annealed_impl(const CostModel& model,
 
   std::size_t last_flip = 0;
   double current_energy = energy;
+  double previous_energy = energy;
   opt::anneal(
       cfg, energy,
       /*propose=*/
       [&](Rng& rng) {
         last_flip = static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-        mapping[last_flip] = !mapping[last_flip];
-        const double e = model.evaluate(mapping, objective).energy;
+        walk.flip(last_flip);
+        const double e = walk.score().energy;
         ++evals;
         const double delta = e - current_energy;
+        previous_energy = current_energy;
         current_energy = e;
         return delta;
       },
       /*undo=*/
       [&] {
-        mapping[last_flip] = !mapping[last_flip];
-        const double e = model.evaluate(mapping, objective).energy;
+        // Back on the mapping held before the move, whose energy was
+        // saved; the restore counts as the evaluation it stands for.
+        walk.flip(last_flip);
         ++evals;
-        current_energy = e;
+        current_energy = previous_energy;
       },
-      /*commit_best=*/[&] { best = mapping; });
+      /*commit_best=*/[&] { best = walk.mapping(); });
   return finish("annealed", model, objective, std::move(best), evals);
 }
 

@@ -71,7 +71,12 @@ struct PartitionResult {
   std::string algorithm;
   Mapping mapping;
   Metrics metrics;
-  /// Cost-model evaluations consumed (optimization effort proxy).
+  /// Cost-model evaluations consumed (optimization effort proxy): one per
+  /// scored mapping, whether scored by evaluate(), schedule_latency() or
+  /// a CostModel::Walk. The annealer's undo counts one too: it restores
+  /// the energy of a mapping the search already held instead of scoring
+  /// it again, which is what an EvalCache hit on it was, and those hits
+  /// always counted.
   std::size_t evaluations = 0;
 };
 

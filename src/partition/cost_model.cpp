@@ -1,6 +1,7 @@
 #include "partition/cost_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -10,33 +11,11 @@ namespace mhs::partition {
 
 namespace {
 
-/// Per-thread working storage of one evaluation. Vectors only ever grow,
-/// so once a thread has evaluated a graph of n tasks, evaluating it again
-/// allocates nothing; keeping it per thread is what lets one const model
-/// serve many threads.
-struct Scratch {
-  std::vector<std::uint8_t> hw;        ///< unpacked mapping
-  std::vector<double> delay;           ///< per task, under the mapping
-  std::vector<double> edge_cost;       ///< per edge, under the mapping
-  std::vector<double> priority;        ///< b-levels
-  std::vector<double> ready;           ///< earliest start per task
-  std::vector<std::uint32_t> preds_left;
-  std::vector<std::uint32_t> ready_list;  ///< contended ready tasks, by id
-  std::vector<std::uint32_t> hw_ready;    ///< concurrent HW tasks to commit
-  std::vector<hw::HwProfile> residents;
-  EvalCache::Key key;
-};
-
-Scratch& scratch() {
-  thread_local Scratch s;
-  return s;
-}
-
 /// Packs a mapping into 64-bit words for use as a cache key. `tag`
 /// selects the cached quantity: bit 0 = hw_concurrent, bit 1 =
 /// price_communication for latency entries; 4 marks an area entry.
 const EvalCache::Key& make_key(const Mapping& mapping, std::uint32_t tag) {
-  EvalCache::Key& key = scratch().key;
+  thread_local EvalCache::Key key;
   key.tag = tag;
   key.words.assign((mapping.size() + 63) / 64, 0);
   for (std::size_t i = 0; i < mapping.size(); ++i) {
@@ -46,6 +25,15 @@ const EvalCache::Key& make_key(const Mapping& mapping, std::uint32_t tag) {
 }
 
 constexpr std::uint32_t kAreaTag = 4;
+
+std::uint32_t latency_tag(bool hw_concurrent, bool price_communication) {
+  return (hw_concurrent ? 1u : 0u) | (price_communication ? 2u : 0u);
+}
+
+/// `v` where `mask` is all ones, +0.0 where it is zero.
+double masked(double v, std::uint64_t mask) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) & mask);
+}
 
 }  // namespace
 
@@ -88,29 +76,78 @@ CostModel::CostModel(const ir::TaskGraph& graph, hw::ComponentLibrary lib,
     }
     succ_begin_.push_back(static_cast<std::uint32_t>(succ_.size()));
   }
+  incident_begin_.reserve(n + 1);
+  incident_.reserve(2 * graph.num_edges());
+  incident_begin_.push_back(0);
+  for (const ir::TaskId t : graph.task_ids()) {
+    for (const auto edges : {graph.out_edges(t), graph.in_edges(t)}) {
+      for (const ir::EdgeId e : edges) {
+        incident_.push_back(static_cast<std::uint32_t>(e.index()));
+      }
+    }
+    incident_begin_.push_back(static_cast<std::uint32_t>(incident_.size()));
+  }
 }
 
-double CostModel::edge_delay(ir::EdgeId e, bool src_hw, bool dst_hw) const {
-  MHS_CHECK(e.valid() && e.index() < edges_.size(),
-            "edge id " << e.index() << " out of range");
-  if (src_hw != dst_hw) return edges_[e.index()].cross_delay;
-  if (src_hw) return edges_[e.index()].hwhw_delay;
-  return 0.0;  // SW-to-SW: shared memory
+CostModel::State& CostModel::thread_state() {
+  thread_local State s;
+  return s;
+}
+
+void CostModel::load(State& s, const Mapping& mapping, bool hw_concurrent,
+                     bool price_communication) const {
+  const std::size_t n = tasks_.size();
+  MHS_CHECK(mapping.size() == n, "mapping/task-count mismatch");
+  s.hw_concurrent = hw_concurrent;
+  s.price_communication = price_communication;
+  s.hw.resize(n);
+  s.delay.resize(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    s.hw[t] = mapping[t] ? 1 : 0;
+    s.delay[t] = s.hw[t] ? tasks_[t].hw_cycles : tasks_[t].sw_cycles;
+  }
+  s.edge_cost.resize(edges_.size());
+  for (std::uint32_t e = 0; e < edges_.size(); ++e) {
+    s.edge_cost[e] = edge_price(s, e);
+  }
+}
+
+double CostModel::edge_price(const State& s, std::uint32_t e) const {
+  const FlatEdge& edge = edges_[e];
+  const bool src_hw = s.hw[edge.src] != 0;
+  const bool dst_hw = s.hw[edge.dst] != 0;
+  return !s.price_communication ? 0.0
+         : src_hw != dst_hw     ? edge.cross_delay
+         : src_hw               ? edge.hwhw_delay
+                                : 0.0;  // SW-to-SW: shared memory
+}
+
+void CostModel::set_side(State& s, std::uint32_t t, bool hw) const {
+  s.hw[t] = hw ? 1 : 0;
+  s.delay[t] = hw ? tasks_[t].hw_cycles : tasks_[t].sw_cycles;
+  for (std::uint32_t k = incident_begin_[t]; k < incident_begin_[t + 1];
+       ++k) {
+    const std::uint32_t e = incident_[k];
+    s.edge_cost[e] = edge_price(s, e);
+  }
+}
+
+template <typename Compute>
+double CostModel::cached(const Mapping& mapping, std::uint32_t tag,
+                         const Compute& compute) const {
+  if (cache_ == nullptr) return compute();
+  return cache_->values_.get_or_compute(make_key(mapping, tag), compute);
 }
 
 double CostModel::schedule_latency(const Mapping& mapping,
                                    bool hw_concurrent,
                                    bool price_communication) const {
-  if (cache_ == nullptr) {
-    return schedule_latency_uncached(mapping, hw_concurrent,
-                                     price_communication);
-  }
-  const std::uint32_t tag = (hw_concurrent ? 1u : 0u) |
-                            (price_communication ? 2u : 0u);
-  return cache_->values_.get_or_compute(make_key(mapping, tag), [&] {
-    return schedule_latency_uncached(mapping, hw_concurrent,
-                                     price_communication);
-  });
+  return cached(mapping, latency_tag(hw_concurrent, price_communication),
+                [&] {
+                  State& s = thread_state();
+                  load(s, mapping, hw_concurrent, price_communication);
+                  return latency(s);
+                });
 }
 
 // A list schedule driven by a ready list. Under hw_concurrent, a HW task
@@ -122,30 +159,10 @@ double CostModel::schedule_latency(const Mapping& mapping,
 // earliest start, ties within 1e-12 going to the higher b-level and then
 // to the lower id. That is the pick a full scan of every task in id
 // order makes, so the makespan matches it bit for bit.
-double CostModel::schedule_latency_uncached(const Mapping& mapping,
-                                            bool hw_concurrent,
-                                            bool price_communication) const {
+double CostModel::latency(State& s) const {
   const std::size_t n = tasks_.size();
-  MHS_CHECK(mapping.size() == n, "mapping/task-count mismatch");
   if (n == 0) return 0.0;
-
-  Scratch& s = scratch();
-  s.hw.resize(n);
-  s.delay.resize(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    s.hw[t] = mapping[t] ? 1 : 0;
-    s.delay[t] = s.hw[t] ? tasks_[t].hw_cycles : tasks_[t].sw_cycles;
-  }
-  s.edge_cost.resize(edges_.size());
-  for (std::size_t e = 0; e < edges_.size(); ++e) {
-    const FlatEdge& edge = edges_[e];
-    const bool src_hw = s.hw[edge.src] != 0;
-    const bool dst_hw = s.hw[edge.dst] != 0;
-    s.edge_cost[e] = !price_communication ? 0.0
-                     : src_hw != dst_hw   ? edge.cross_delay
-                     : src_hw             ? edge.hwhw_delay
-                                          : 0.0;
-  }
+  const bool hw_concurrent = s.hw_concurrent;
 
   // Priority: b-level under the mapped delays.
   s.priority.resize(n);
@@ -226,42 +243,61 @@ double CostModel::schedule_latency_uncached(const Mapping& mapping,
 }
 
 double CostModel::hardware_area(const Mapping& mapping) const {
-  if (cache_ == nullptr) return hardware_area_uncached(mapping);
-  return cache_->values_.get_or_compute(
-      make_key(mapping, kAreaTag),
-      [&] { return hardware_area_uncached(mapping); });
-}
-
-double CostModel::hardware_area_uncached(const Mapping& mapping) const {
-  std::vector<hw::HwProfile>& residents = scratch().residents;
-  residents.clear();
-  for (std::size_t i = 0; i < mapping.size(); ++i) {
-    if (mapping[i]) residents.push_back(profiles_[i]);
-  }
-  return hw::shared_area_from_scratch(lib_, residents);
+  // The sides alone set the area, so any latency flags and objective do.
+  return cached(mapping, kAreaTag, [&] {
+    State& s = thread_state();
+    load(s, mapping, true, true);
+    return score(s, 0.0, Objective{}).hw_area;
+  });
 }
 
 Metrics CostModel::evaluate(const Mapping& mapping,
                             const Objective& objective) const {
-  MHS_CHECK(mapping.size() == tasks_.size(), "mapping/task-count mismatch");
+  const bool concurrency = objective.consider_concurrency;
+  const bool communication = objective.consider_communication;
+  State& s = thread_state();
+  load(s, mapping, concurrency, communication);
+  const double latency_cycles =
+      cached(mapping, latency_tag(concurrency, communication),
+             [&] { return latency(s); });
+  return score(s, latency_cycles, objective);
+}
 
+Metrics CostModel::score(const State& s, double latency_cycles,
+                         const Objective& objective) const {
   Metrics m;
-  m.latency_cycles = schedule_latency(
-      mapping, objective.consider_concurrency,
-      objective.consider_communication);
-  m.hw_area = hardware_area(mapping);
+  m.latency_cycles = latency_cycles;
+  // One pass in ascending task id: the additive terms and the resident
+  // profiles' sharing terms, in the order hw::shared_area_from_scratch
+  // sums them. A task on the other side of a term adds +0.0 (or 0),
+  // which leaves a sum that started at +0.0 unchanged, so each sum is
+  // the sum over its own side's tasks, with no branch to mispredict.
+  hw::FuCounts max_fu;
+  std::size_t max_regs = 0;
+  std::size_t total_states = 0;
+  double total_wiring = 0.0;
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    if (mapping[t]) {
-      ++m.tasks_in_hw;
-      m.modifiability_penalty += tasks_[t].modifiability_cost;
-    } else {
-      m.sw_code_bytes += tasks_[t].sw_size;
+    const std::uint64_t hw_mask = -std::uint64_t{s.hw[t]};
+    const FlatTask& task = tasks_[t];
+    const hw::HwProfile& p = profiles_[t];
+    m.sw_code_bytes += masked(task.sw_size, ~hw_mask);
+    m.modifiability_penalty += masked(task.modifiability_cost, hw_mask);
+    total_wiring += masked(p.wiring, hw_mask);
+    m.tasks_in_hw += s.hw[t];
+    total_states += p.states & hw_mask;
+    for (std::size_t f = 0; f < hw::kNumFuTypes; ++f) {
+      max_fu.count[f] = std::max(max_fu.count[f], p.fu.count[f] & hw_mask);
     }
+    max_regs = std::max(max_regs, p.registers & hw_mask);
+  }
+  if (m.tasks_in_hw > 0) {
+    m.hw_area =
+        hw::shared_area(lib_, max_fu, max_regs, total_states, total_wiring);
   }
   for (const FlatEdge& edge : edges_) {
-    if (mapping[edge.src] != mapping[edge.dst]) {
-      m.cross_comm_cycles += edge.cross_delay;
-    }
+    m.cross_comm_cycles += masked(
+        edge.cross_delay,
+        -static_cast<std::uint64_t>(s.hw[edge.src] ^ s.hw[edge.dst]));
   }
 
   double energy = objective.latency_weight * m.latency_cycles +
@@ -281,6 +317,25 @@ Metrics CostModel::evaluate(const Mapping& mapping,
   }
   m.energy = energy;
   return m;
+}
+
+CostModel::Walk::Walk(const CostModel& model, const Objective& objective,
+                      Mapping start)
+    : model_(&model), objective_(objective), mapping_(std::move(start)) {
+  model.load(state_, mapping_, objective.consider_concurrency,
+             objective.consider_communication);
+  // Size the schedule's vectors now, so no score allocates.
+  model.latency(state_);
+}
+
+void CostModel::Walk::flip(std::size_t t) {
+  MHS_CHECK(t < mapping_.size(), "task " << t << " out of range");
+  mapping_[t] = !mapping_[t];
+  model_->set_side(state_, static_cast<std::uint32_t>(t), mapping_[t]);
+}
+
+Metrics CostModel::Walk::score() {
+  return model_->score(state_, model_->latency(state_), objective_);
 }
 
 }  // namespace mhs::partition

@@ -7,8 +7,8 @@
 //                      tasks serialize on one CPU and hardware tasks run
 //                      concurrently ("concurrency" factor),
 //   implementation   — hardware area with resource sharing
-//   cost               (hw::shared_area_from_scratch over the HW-mapped
-//                      tasks) plus software code size,
+//   cost               (hw::shared_area over the HW-mapped tasks'
+//                      profiles) plus software code size,
 //   communication    — cross-boundary traffic priced by the bus model,
 //   modifiability    — penalty for freezing change-prone functions in HW,
 //   nature of        — task parallelism annotations feed the HW latency
@@ -16,6 +16,27 @@
 //
 // Each factor can be disabled to reproduce the E10 ablation: an optimizer
 // working under a crippled objective is scored against the full model.
+//
+// Searches that move one task at a time (hot-spot, unload, KL, annealing)
+// score their moves on a CostModel::Walk, the incremental pricing of a
+// move that Vahid & Gajski [18] argue for. A walk holds one mapping as
+// flat per-task sides with the delays and edge prices under it; flip(t)
+// updates task t and its incident edges only, and score() returns the
+// Metrics that evaluate() returns for the same mapping, bit for bit.
+// evaluate(), schedule_latency() and hardware_area() load the same state
+// from a mapping and run the same code, so the model has one list
+// schedule, one area formula (hw::shared_area) and one energy formula.
+// Exactness is by construction, not by tolerance:
+//
+//   * every score sums its doubles (code size, modifiability, cross
+//     traffic, the area's wiring) over all tasks in ascending id, then
+//     all edges in ascending id. None is kept by adding and
+//     subtracting: that drifts in the last bits, and one ulp changes an
+//     annealing trajectory;
+//   * delays and edge prices are assigned from the task's side, never
+//     accumulated, so a flip and its flip back restore them exactly;
+//   * b-levels and the list schedule are recomputed in full on every
+//     score, so no stale b-level can reach a start-time tie.
 #pragma once
 
 #include <cstdint>
@@ -134,6 +155,8 @@ struct Metrics {
 /// one const model may be shared by any number of threads.
 class CostModel {
  public:
+  class Walk;
+
   CostModel(const ir::TaskGraph& graph, hw::ComponentLibrary lib,
             CommModel comm = {});
 
@@ -159,13 +182,46 @@ class CostModel {
   const hw::ComponentLibrary& library() const { return lib_; }
   const CommModel& comm() const { return comm_; }
 
-  /// Delay of edge `e` given the endpoint sides.
-  double edge_delay(ir::EdgeId e, bool src_hw, bool dst_hw) const;
-
  private:
-  double schedule_latency_uncached(const Mapping& mapping, bool hw_concurrent,
-                                   bool price_communication) const;
-  double hardware_area_uncached(const Mapping& mapping) const;
+  /// One mapping loaded for scoring: per-task sides and delays, per-edge
+  /// prices under the latency flags (each a function of the mapping and
+  /// the flags alone), and the list schedule's working vectors. Vectors
+  /// only ever grow, so reloading allocates nothing once warm.
+  struct State {
+    bool hw_concurrent = true;
+    bool price_communication = true;
+    std::vector<std::uint8_t> hw;   ///< per task: 1 in hardware
+    std::vector<double> delay;      ///< per task, on its side
+    std::vector<double> edge_cost;  ///< per edge, 0 unless priced
+    std::vector<double> priority;   ///< b-levels
+    std::vector<double> ready;      ///< earliest start per task
+    std::vector<std::uint32_t> preds_left;
+    std::vector<std::uint32_t> ready_list;  ///< contended ready tasks, by id
+    std::vector<std::uint32_t> hw_ready;    ///< concurrent HW tasks to commit
+  };
+
+  /// This thread's state for evaluate(), schedule_latency() and
+  /// hardware_area(); keeping it per thread is what lets one const model
+  /// serve many threads.
+  static State& thread_state();
+  /// Loads `mapping` under the latency flags into `s`.
+  void load(State& s, const Mapping& mapping, bool hw_concurrent,
+            bool price_communication) const;
+  /// Price of edge e under the sides and the pricing flag in `s`.
+  double edge_price(const State& s, std::uint32_t e) const;
+  /// Puts task t on side `hw` and reprices its incident edges.
+  void set_side(State& s, std::uint32_t t, bool hw) const;
+  /// compute(), or the attached cache's entry for (mapping, tag).
+  template <typename Compute>
+  double cached(const Mapping& mapping, std::uint32_t tag,
+                const Compute& compute) const;
+  /// The list schedule: b-levels, then a ready-list schedule.
+  double latency(State& s) const;
+  /// Metrics of the loaded mapping with the latency given: the area and
+  /// the additive terms summed in task-id then edge-id order, then the
+  /// energy under `objective`.
+  Metrics score(const State& s, double latency_cycles,
+                const Objective& objective) const;
 
   /// Per-task cost snapshot.
   struct FlatTask {
@@ -197,6 +253,37 @@ class CostModel {
   /// are succ_[succ_begin_[t] .. succ_begin_[t + 1]).
   std::vector<std::uint32_t> succ_begin_;
   std::vector<std::uint32_t> succ_;
+  /// CSR incidence lists: every edge into or out of task t is in
+  /// incident_[incident_begin_[t] .. incident_begin_[t + 1]).
+  std::vector<std::uint32_t> incident_begin_;
+  std::vector<std::uint32_t> incident_;
+};
+
+/// A search's position in the mapping space, priced incrementally. The
+/// walk starts from a mapping under one objective; flip(t) moves task t
+/// to the other side in O(deg t), and score() returns exactly
+/// model.evaluate(mapping(), objective). Hot-spot, unload, KL and
+/// annealing score every move as flip, score, flip back.
+///
+/// A walk does not consult an attached EvalCache. It owns its state, so
+/// once constructed its flips and scores allocate nothing; it is used by
+/// one thread at a time, and the model must outlive it.
+class CostModel::Walk {
+ public:
+  Walk(const CostModel& model, const Objective& objective, Mapping start);
+
+  /// Moves task `t` to the other side of the HW/SW boundary.
+  void flip(std::size_t t);
+  /// Metrics of the current mapping, bit-identical to evaluate().
+  Metrics score();
+
+  const Mapping& mapping() const { return mapping_; }
+
+ private:
+  const CostModel* model_;
+  Objective objective_;
+  Mapping mapping_;
+  State state_;
 };
 
 }  // namespace mhs::partition

@@ -175,6 +175,20 @@ TEST(CostModel, WarmEvaluationAllocatesNothing) {
   evaluate_all();  // sizes this thread's scratch
   EXPECT_EQ(allocations_during(evaluate_all), 0u);
 
+  // A constructed walk flips and scores without touching the heap.
+  std::vector<CostModel::Walk> walks;
+  for (const Objective& o : objectives) walks.emplace_back(model, o, mapping);
+  const auto walk_all = [&] {
+    for (CostModel::Walk& walk : walks) {
+      for (std::size_t t = 0; t < mapping.size(); ++t) {
+        walk.flip(t);
+        sink += walk.score().energy;
+        if (t % 2 == 0) walk.flip(t);
+      }
+    }
+  };
+  EXPECT_EQ(allocations_during(walk_all), 0u);
+
   EvalCache cache;
   model.set_cache(&cache);
   evaluate_all();  // misses insert their keys

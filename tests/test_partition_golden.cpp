@@ -19,6 +19,12 @@
 // full-scan list scheduler it replaced, kept below as the reference, on
 // 10,000 random mappings per graph under every flag combination.
 //
+// The walk oracle drives a CostModel::Walk through over 10,000 random
+// flips per graph, some flipped straight back as KL does, under every
+// flag combination with and without a latency target and an area
+// budget, and requires every score to equal CostModel::evaluate of the
+// walk's mapping bit for bit, in every Metrics field.
+//
 // To regenerate the table after an intended change of partitioning
 // results, run this binary with MHS_PARTITION_GOLDEN_OUT=<path>; it
 // writes the recomputed table there and skips the comparison.
@@ -332,6 +338,87 @@ TEST(PartitionDifferential, ScheduleLatencyMatchesFullScanReference) {
         }
       }
     }
+    EXPECT_EQ(mismatches, 0u) << label;
+  }
+}
+
+/// Name of the first Metrics field whose bit pattern differs, or nullptr.
+const char* first_differing_field(const Metrics& a, const Metrics& b) {
+  constexpr std::pair<const char*, double Metrics::*> kDoubles[] = {
+      {"latency_cycles", &Metrics::latency_cycles},
+      {"hw_area", &Metrics::hw_area},
+      {"sw_code_bytes", &Metrics::sw_code_bytes},
+      {"cross_comm_cycles", &Metrics::cross_comm_cycles},
+      {"modifiability_penalty", &Metrics::modifiability_penalty},
+      {"energy", &Metrics::energy}};
+  for (const auto& [name, field] : kDoubles) {
+    if (std::bit_cast<std::uint64_t>(a.*field) !=
+        std::bit_cast<std::uint64_t>(b.*field)) {
+      return name;
+    }
+  }
+  return a.tasks_in_hw == b.tasks_in_hw ? nullptr : "tasks_in_hw";
+}
+
+TEST(PartitionDifferential, WalkScoresMatchEvaluateAfterEveryFlip) {
+  constexpr int kFlipsPerObjective = 640;  // x 16 objectives per graph
+  std::uint64_t seed = 101;
+  for (const auto& [label, g] : golden_graphs()) {
+    const CostModel model(g, hw::default_library());
+    const std::size_t n = g.num_tasks();
+    const double all_hw_area = model.hardware_area(Mapping(n, true));
+    Rng rng(seed++);
+    std::size_t flips = 0;
+    std::size_t mismatches = 0;
+    for (const bool concurrency : {true, false}) {
+      for (const bool communication : {true, false}) {
+        for (const bool target : {false, true}) {
+          for (const bool budget : {false, true}) {
+            Objective objective;
+            objective.area_weight = 0.02;
+            objective.sw_size_weight = 0.01;
+            objective.modifiability_weight = 0.05;
+            objective.consider_concurrency = concurrency;
+            objective.consider_communication = communication;
+            if (target) objective.latency_target = 0.6 * g.total_sw_cycles();
+            if (budget) objective.area_budget = 0.4 * all_hw_area;
+            const double density = rng.uniform();
+            Mapping start(n);
+            for (std::size_t t = 0; t < n; ++t) {
+              start[t] = rng.bernoulli(density);
+            }
+            CostModel::Walk walk(model, objective, start);
+            const auto check = [&](const char* step) {
+              const Metrics expected =
+                  model.evaluate(walk.mapping(), objective);
+              const char* field = first_differing_field(walk.score(), expected);
+              if (field != nullptr && ++mismatches <= 3) {
+                ADD_FAILURE() << label << " cc" << int{concurrency} << " comm"
+                              << int{communication} << " target"
+                              << int{target} << " budget" << int{budget}
+                              << " flip " << flips << " (" << step
+                              << "): walk " << field
+                              << " differs from evaluate";
+              }
+            };
+            check("start");
+            for (int i = 0; i < kFlipsPerObjective; ++i) {
+              const auto t = static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+              walk.flip(t);
+              ++flips;
+              check("flip");
+              if (rng.bernoulli(0.25)) {  // KL's try-and-undo
+                walk.flip(t);
+                ++flips;
+                check("flip back");
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GE(flips, 10000u) << label;
     EXPECT_EQ(mismatches, 0u) << label;
   }
 }
