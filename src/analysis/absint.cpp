@@ -557,11 +557,9 @@ Diagnostics lint_ranges(const ir::Cdfg& cdfg) {
 }
 
 Diagnostics analyze_cdfg(const ir::Cdfg& cdfg, bool with_ranges) {
-  if (!with_ranges) return analyze_cdfg(cdfg);
-  Diagnostics diags = verify_cdfg(cdfg);
-  if (diags.has_errors()) return diags;
-  diags.merge(lint_cdfg(cdfg));
-  diags.merge(lint_ranges(cdfg));
+  // The dataflow lints only warn, so an error here is structural.
+  Diagnostics diags = analyze_cdfg(cdfg);
+  if (with_ranges && !diags.has_errors()) diags.merge(lint_ranges(cdfg));
   return diags;
 }
 

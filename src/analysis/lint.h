@@ -50,7 +50,8 @@ Diagnostics lint_network(const ir::ProcessNetwork& net);
 
 /// Convenience bundles: verify, then lint only if the verifier found no
 /// errors (lint passes assume structural soundness). Returns the merged
-/// diagnostics. These are what the flow gates and mhs_lint run.
+/// diagnostics. The flow gates, cosynth::run's gate and mhs_lint start
+/// from these.
 Diagnostics analyze_cdfg(const ir::Cdfg& cdfg);
 Diagnostics analyze_task_graph(const ir::TaskGraph& graph);
 Diagnostics analyze_network(const ir::ProcessNetwork& net);

@@ -35,7 +35,7 @@ bool finite_nonneg(double v) { return std::isfinite(v) && v >= 0.0; }
 
 }  // namespace
 
-Diagnostics verify_cdfg(const ir::Cdfg& cdfg, bool check_roundtrip) {
+Diagnostics verify_cdfg(const ir::Cdfg& cdfg) {
   Diagnostics diags;
   const std::size_t n = cdfg.num_ops();
   std::set<std::string> input_names;
@@ -137,17 +137,26 @@ Diagnostics verify_cdfg(const ir::Cdfg& cdfg, bool check_roundtrip) {
       diags.add("CDFG011", Severity::kError, op_loc(i), fmt_msg(os));
     }
   }
+  return diags;
+}
 
+Diagnostics verify_roundtrip(const ir::Cdfg& cdfg) {
   // Serialization stability: a structurally sound kernel must survive a
   // text round trip with its content hash (the estimate-cache identity)
-  // intact. Only meaningful when the kernel is otherwise well-formed.
-  if (check_roundtrip && !diags.has_errors()) {
+  // intact. A library-built kernel can carry a name the text format
+  // cannot print (a space, an '='); its parse failure is the finding.
+  Diagnostics diags;
+  try {
     const ir::Cdfg reparsed = ir::cdfg_from_text(ir::to_text(cdfg));
     if (ir::content_hash(reparsed) != ir::content_hash(cdfg)) {
       diags.add("CDFG010", Severity::kError, kernel_loc(cdfg),
                 "content hash changed across a serialize/deserialize "
                 "round trip");
     }
+  } catch (const Error& e) {
+    diags.add("CDFG010", Severity::kError, kernel_loc(cdfg),
+              std::string("serialized text does not parse back: ") +
+                  e.what());
   }
   return diags;
 }

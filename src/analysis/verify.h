@@ -20,7 +20,10 @@
 //   CDFG006  operand references an output op (outputs produce no value)
 //   CDFG008  constant shift amount outside [0,63] (fixed-point width)
 //   CDFG009  constant divisor of zero
-//   CDFG010  serialize→deserialize round trip changes ir::content_hash
+//   CDFG010  serialize→deserialize round trip changes ir::content_hash,
+//            or the printed text does not parse back (verify_roundtrip
+//            only: it tests ir/serialize, not the kernel, so it runs at
+//            the text boundary svc::analyze_artifact and at no flow gate)
 //   CDFG011  input range annotation is empty (lo > hi)
 //
 //   TG001    edge endpoint references a task that does not exist
@@ -51,11 +54,16 @@
 namespace mhs::analysis {
 
 /// Verifies the structural invariants of one behavioural kernel
-/// (CDFG001..CDFG011). With `check_roundtrip` (the default) and an
-/// otherwise error-free kernel, additionally serializes, re-parses, and
-/// re-hashes the kernel and reports CDFG010 when ir::content_hash is not
-/// stable across the round trip.
-Diagnostics verify_cdfg(const ir::Cdfg& cdfg, bool check_roundtrip = true);
+/// (CDFG001..CDFG009, CDFG011).
+Diagnostics verify_cdfg(const ir::Cdfg& cdfg);
+
+/// The serializer's check on one kernel (CDFG010): prints it with
+/// ir::to_text, parses the text back and reports CDFG010 when the parse
+/// fails (with the parser's message) or ir::content_hash changes. Never
+/// throws. svc::analyze_artifact, behind mhs_lint and /v1/lint, is the
+/// one caller in the library. Precondition: verify_cdfg reported no
+/// errors.
+Diagnostics verify_roundtrip(const ir::Cdfg& cdfg);
 
 /// Verifies one task graph (TG001..TG004).
 Diagnostics verify_task_graph(const ir::TaskGraph& graph);

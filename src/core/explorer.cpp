@@ -70,8 +70,8 @@ Explorer::Context& Explorer::context(
         const ir::Cdfg* original = kernels[i];
         std::shared_ptr<const ir::Cdfg> optimized =
             optimized_kernels_.get_or_compute(original, [&] {
-              return std::make_shared<const ir::Cdfg>(
-                  optimize_kernel(*original));
+              return std::make_shared<const ir::Cdfg>(optimize_kernel(
+                  *original, analysis::absint_cdfg(*original)));
             });
         kernels[i] = optimized.get();
         ctx.keepalive.push_back(std::move(optimized));

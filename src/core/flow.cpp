@@ -87,9 +87,10 @@ KernelEstimateCache::Entry estimate_kernel(const ir::Cdfg& kernel,
 
 }  // namespace
 
-ir::Cdfg optimize_kernel(const ir::Cdfg& kernel, ir::OptimizeStats* stats) {
-  const auto facts = analysis::absint_cdfg(kernel).interval_facts();
-  return ir::optimize(kernel, facts, stats);
+ir::Cdfg optimize_kernel(const ir::Cdfg& kernel,
+                         const analysis::AbsintResult& absint,
+                         ir::OptimizeStats* stats) {
+  return ir::optimize(kernel, absint.interval_facts(), stats);
 }
 
 ir::TaskGraph annotate_costs(const ir::TaskGraph& graph,
@@ -136,6 +137,9 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
   // strict and dropped (its task keeps its existing annotations) at warn,
   // before the optimizer or the estimators can trip over it.
   std::vector<const ir::Cdfg*> kernels = raw_kernels;
+  // One absint result per kernel that passes verification: the gate's
+  // range lints read it, and specify optimizes under it.
+  std::vector<std::optional<analysis::AbsintResult>> absint(kernels.size());
   if (gates_on) {
     obs::Span gate("verify.compile", "analysis");
     const analysis::Diagnostics graph_diags = analysis::verify(graph);
@@ -146,10 +150,14 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
     for (std::size_t i = 0; i < kernels.size(); ++i) {
       if (kernels[i] == nullptr) continue;
       // Ranged analysis: the structural checks plus the dataflow lints
-      // plus the CDFG2xx value-range family (a proven divide-by-zero or
-      // shift-out-of-range is an error at this gate like any other).
-      const analysis::Diagnostics kernel_diags =
-          analysis::analyze_cdfg(*kernels[i], /*with_ranges=*/true);
+      // (which only warn), then on a sound kernel the CDFG2xx value-range
+      // family (a proven divide-by-zero or shift-out-of-range is an error
+      // at this gate like any other).
+      analysis::Diagnostics kernel_diags = analysis::analyze_cdfg(*kernels[i]);
+      if (!kernel_diags.has_errors()) {
+        absint[i] = analysis::absint_cdfg(*kernels[i]);
+        kernel_diags.merge(analysis::lint_ranges(*kernels[i], *absint[i]));
+      }
       diagnostics.merge(kernel_diags);
       if (analysis::apply_gate("compile", config.lint_level, kernel_diags)) {
         kernels[i] = nullptr;  // warn level: unusable kernel, skip it
@@ -168,13 +176,17 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
       // sum into the report.
       report.optimized_kernels.reserve(kernels.size());
       ir::OptimizeStats& total = report.report.optimize_stats;
-      for (const ir::Cdfg* kernel : kernels) {
+      for (std::size_t i = 0; i < kernels.size(); ++i) {
+        const ir::Cdfg* kernel = kernels[i];
         if (kernel == nullptr) {
           report.optimized_kernels.emplace_back();
           continue;
         }
+        // With the gates off, nothing has run absint on this kernel yet.
+        if (!absint[i]) absint[i] = analysis::absint_cdfg(*kernel);
         ir::OptimizeStats stats;
-        report.optimized_kernels.push_back(optimize_kernel(*kernel, &stats));
+        report.optimized_kernels.push_back(
+            optimize_kernel(*kernel, *absint[i], &stats));
         total.constants_folded += stats.constants_folded;
         total.identities_applied += stats.identities_applied;
         total.subexpressions_merged += stats.subexpressions_merged;

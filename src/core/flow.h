@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/absint.h"
 #include "analysis/diag.h"
 #include "base/concurrent_cache.h"
 #include "core/report.h"
@@ -261,11 +262,14 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
                              const FlowConfig& config);
 
 /// The specify step for one kernel: ir::optimize under the interval facts
-/// absint proves for it (plain optimization for an unannotated kernel,
-/// whose facts are all top). The flow and the Explorer both call it, so
-/// one specification optimizes to one kernel. Precondition:
-/// analysis::verify_cdfg reported no errors.
+/// of `absint`, which must be analysis::absint_cdfg(kernel) (plain
+/// optimization for an unannotated kernel, whose facts are all top). The
+/// flow passes the result its compile gate computed for the range lints;
+/// the Explorer computes one. Both call this, so one specification
+/// optimizes to one kernel. Precondition: analysis::verify_cdfg reported
+/// no errors.
 ir::Cdfg optimize_kernel(const ir::Cdfg& kernel,
+                         const analysis::AbsintResult& absint,
                          ir::OptimizeStats* stats = nullptr);
 
 /// The estimate step alone: returns `graph` with sw/hw costs derived from

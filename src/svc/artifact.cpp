@@ -39,10 +39,20 @@ bool analyze_artifact(const std::string& text, analysis::Diagnostics* diags,
         diags->merge(analysis::analyze_network(
             ir::process_network_from_text(text, /*validate=*/false)));
         return true;
-      case ArtifactKind::kCdfg:
-        diags->merge(
-            analysis::analyze_cdfg(ir::cdfg_from_text(text), ranges));
+      case ArtifactKind::kCdfg: {
+        const ir::Cdfg kernel = ir::cdfg_from_text(text);
+        analysis::Diagnostics found = analysis::analyze_cdfg(kernel);
+        // The dataflow lints only warn, so an error here is structural.
+        // A sound kernel gets the range lints when asked, then the
+        // serializer's own check (CDFG010), which belongs here, where
+        // kernels arrive as text, rather than at any flow gate.
+        if (!found.has_errors()) {
+          if (ranges) found.merge(analysis::lint_ranges(kernel));
+          found.merge(analysis::verify_roundtrip(kernel));
+        }
+        diags->merge(found);
         return true;
+      }
       case ArtifactKind::kUnknown:
         if (error != nullptr) {
           *error =

@@ -26,7 +26,9 @@ ArtifactKind sniff_artifact(const std::string& text);
 /// the caller decides how to surface it (mhs_lint exit 2, service 400).
 /// With `ranges` set, CDFG artifacts additionally get the CDFG2xx
 /// value-range lints (abstract interpretation over their declared input
-/// ranges); the flag is ignored for task graphs and networks.
+/// ranges); the flag is ignored for task graphs and networks. A CDFG
+/// that verifies also gets the serializer round trip (CDFG010, after
+/// the lints); this is the one place the library runs it.
 bool analyze_artifact(const std::string& text, analysis::Diagnostics* diags,
                       std::string* error, bool ranges = false);
 

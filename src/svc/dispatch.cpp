@@ -568,12 +568,11 @@ bool prepare_lint(const LintParams& p, Dispatcher::Prepared* prep,
 /// The structural check every kernel a request carries passes before any
 /// library layer runs: ir::cdfg_from_text checks neither operand ids nor
 /// arity, and the optimizer, absint, the compiler and HLS all assume
-/// both. The serializer round trip (CDFG010) stays in /v1/lint. Returns
-/// the 400 message, or "" when every kernel is sound.
+/// both. The serializer round trip (CDFG010) is /v1/lint's. Returns the
+/// 400 message, or "" when every kernel is sound.
 std::string unsound_kernel(const Dispatcher::Prepared& prep) {
   const auto check = [](const ir::Cdfg& kernel) {
-    const analysis::Diagnostics diags =
-        analysis::verify_cdfg(kernel, /*check_roundtrip=*/false);
+    const analysis::Diagnostics diags = analysis::verify_cdfg(kernel);
     return diags.has_errors() ? "kernel failed verification: " + diags.str()
                               : std::string();
   };

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/absint.h"
 #include "apps/kernels.h"
 #include "apps/workloads.h"
 #include "base/concurrent_cache.h"
@@ -221,7 +222,8 @@ void expect_matches_serial_recomputation(
     std::vector<const ir::Cdfg*> kernels = w.kernels;
     for (std::size_t t = 0; t < kernels.size(); ++t) {
       if (kernels[t] == nullptr || !config.optimize_kernels) continue;
-      optimized[t] = optimize_kernel(*kernels[t]);
+      optimized[t] =
+          optimize_kernel(*kernels[t], analysis::absint_cdfg(*kernels[t]));
       kernels[t] = &optimized[t];
     }
     const ir::TaskGraph annotated = annotate_costs(w.graph, kernels, config);
