@@ -36,12 +36,6 @@ Interval from_exact(int128 lo, int128 hi, bool* may_overflow) {
   return {static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)};
 }
 
-std::int64_t safe_div(std::int64_t x, std::int64_t d) {
-  // Mirrors ir::apply_op: INT64_MIN / -1 wraps to INT64_MIN.
-  if (x == kI64Min && d == -1) return x;
-  return x / d;
-}
-
 /// Division interval. The divisor box is split at zero (d == 0 traps, so
 /// it contributes no value); over each one-sign sub-box x/d is monotone
 /// in each variable, so corners suffice. The single non-monotone point,
@@ -62,13 +56,13 @@ Interval div_interval(Interval a, Interval d, bool* may_overflow) {
   if (d.lo <= -1) {
     const std::int64_t d_hi = std::min<std::int64_t>(d.hi, -1);
     for (const std::int64_t x : {a.lo, a.hi}) {
-      for (const std::int64_t dd : {d.lo, d_hi}) consider(safe_div(x, dd));
+      for (const std::int64_t dd : {d.lo, d_hi}) consider(ir::wrap_div(x, dd));
     }
   }
   if (d.hi >= 1) {
     const std::int64_t d_lo = std::max<std::int64_t>(d.lo, 1);
     for (const std::int64_t x : {a.lo, a.hi}) {
-      for (const std::int64_t dd : {d_lo, d.hi}) consider(safe_div(x, dd));
+      for (const std::int64_t dd : {d_lo, d.hi}) consider(ir::wrap_div(x, dd));
     }
   }
   if (!any) return Interval::top();  // divisor pinned to 0: always traps

@@ -41,13 +41,16 @@ std::uint64_t Rng::next() {
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   MHS_CHECK(lo <= hi, "uniform_int: lo=" << lo << " > hi=" << hi);
-  const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: a span wider than INT64_MAX (hi - lo) and the
+  // offset added back to lo would overflow as signed values.
+  const auto ulo = static_cast<std::uint64_t>(lo);
+  const std::uint64_t range = static_cast<std::uint64_t>(hi) - ulo + 1;
   if (range == 0) return static_cast<std::int64_t>(next());  // full 64-bit range
   // Rejection sampling to remove modulo bias.
   const std::uint64_t limit = UINT64_MAX - UINT64_MAX % range;
   std::uint64_t v = next();
   while (v >= limit) v = next();
-  return lo + static_cast<std::int64_t>(v % range);
+  return static_cast<std::int64_t>(ulo + v % range);
 }
 
 double Rng::uniform() {
@@ -100,6 +103,23 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
     if (x < 0.0) return i;
   }
   return weights.size() - 1;  // numeric edge: landed exactly on total
+}
+
+std::uint64_t raw_u64(Rng& rng) {
+  constexpr std::int64_t kHalf = (std::int64_t{1} << 32) - 1;
+  const auto low = static_cast<std::uint64_t>(rng.uniform_int(0, kHalf));
+  const auto high = static_cast<std::uint64_t>(rng.uniform_int(0, kHalf));
+  return (high << 32) | low;
+}
+
+std::int64_t draw_in_range(Rng& rng, std::int64_t lo, std::int64_t hi) {
+  const std::uint64_t width =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  if (width == ~std::uint64_t{0}) {
+    return static_cast<std::int64_t>(raw_u64(rng));
+  }
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   raw_u64(rng) % (width + 1));
 }
 
 }  // namespace mhs

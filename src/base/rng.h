@@ -23,8 +23,8 @@ class Rng {
   /// Returns the next raw 64-bit value.
   std::uint64_t next();
 
-  /// Returns a uniformly distributed integer in [lo, hi] (inclusive).
-  /// Precondition: lo <= hi.
+  /// Returns a uniformly distributed integer in [lo, hi] (inclusive), for
+  /// any span up to all of i64. Precondition: lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Returns a uniformly distributed double in [0, 1).
@@ -69,5 +69,12 @@ class Rng {
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;
 };
+
+/// A full 64-bit draw from two 32-bit uniform_int halves, low half first
+/// (the stream hw::verify_synthesis and the fuzzers draw inputs from).
+std::uint64_t raw_u64(Rng& rng);
+/// A draw in [lo, hi] for any i64 span: raw_u64 modulo the span's width,
+/// or raw_u64 itself over all of i64 (modulo bias is irrelevant here).
+std::int64_t draw_in_range(Rng& rng, std::int64_t lo, std::int64_t hi);
 
 }  // namespace mhs

@@ -15,50 +15,6 @@ namespace {
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
-/// Reference evaluation with per-op values and apply_op's trap rules made
-/// non-throwing (a trapping vector is outside the equivalence contract).
-bool eval_reference(const ir::Cdfg& cdfg,
-                    const std::map<std::string, std::int64_t>& inputs,
-                    std::vector<std::int64_t>* value) {
-  value->assign(cdfg.num_ops(), 0);
-  std::vector<std::int64_t> args;
-  for (const ir::OpId id : cdfg.op_ids()) {
-    const ir::Op& op = cdfg.op(id);
-    args.clear();
-    for (const ir::OpId operand : op.operands) {
-      args.push_back((*value)[operand.index()]);
-    }
-    switch (op.kind) {
-      case ir::OpKind::kConst:
-        (*value)[id.index()] = op.value;
-        break;
-      case ir::OpKind::kInput: {
-        const auto it = inputs.find(op.name);
-        MHS_CHECK(it != inputs.end(),
-                  "check_equivalence: missing input '" << op.name << "'");
-        (*value)[id.index()] = it->second;
-        break;
-      }
-      case ir::OpKind::kOutput:
-        (*value)[id.index()] = args[0];
-        break;
-      case ir::OpKind::kDiv:
-        if (args[1] == 0) return false;
-        (*value)[id.index()] = ir::apply_op(op.kind, args);
-        break;
-      case ir::OpKind::kShl:
-      case ir::OpKind::kShr:
-        if (args[1] < 0 || args[1] >= 64) return false;
-        (*value)[id.index()] = ir::apply_op(op.kind, args);
-        break;
-      default:
-        (*value)[id.index()] = ir::apply_op(op.kind, args);
-        break;
-    }
-  }
-  return true;
-}
-
 std::string render_outputs(const std::map<std::string, std::int64_t>& m) {
   std::ostringstream os;
   bool first = true;
@@ -67,25 +23,6 @@ std::string render_outputs(const std::map<std::string, std::int64_t>& m) {
     first = false;
   }
   return os.str();
-}
-
-/// A full-width uniform draw built from two 32-bit halves (uniform_int
-/// over the whole i64 span would compute hi - lo in signed arithmetic).
-std::uint64_t raw_u64(Rng& rng) {
-  constexpr std::int64_t kHalf = (std::int64_t{1} << 32) - 1;
-  const auto low = static_cast<std::uint64_t>(rng.uniform_int(0, kHalf));
-  const auto high = static_cast<std::uint64_t>(rng.uniform_int(0, kHalf));
-  return (high << 32) | low;
-}
-
-std::int64_t draw_in_range(Rng& rng, std::int64_t lo, std::int64_t hi) {
-  const std::uint64_t width =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
-  if (width == ~std::uint64_t{0}) {
-    return static_cast<std::int64_t>(raw_u64(rng));
-  }
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
-                                   raw_u64(rng) % (width + 1));
 }
 
 }  // namespace
@@ -97,22 +34,32 @@ EquivResult check_equivalence(const HlsResult& impl,
   const ir::Cdfg& cdfg = schedule.cdfg();
   EquivResult result;
 
-  // Software reference first: per-op values (for the register-file
-  // expectation) and the trap screen.
-  std::vector<std::int64_t> ref_value;
-  if (!eval_reference(cdfg, inputs, &ref_value)) {
-    result.trapped = true;
-    return result;
-  }
-  // The production reference path: CompiledEval is what the co-simulator
-  // actually runs per sample, so the equivalence claim is against it.
+  // Software reference, once per vector. CompiledEval is what the
+  // co-simulator actually runs per sample, so the equivalence claim is
+  // against it; its per-op form yields the outputs, the register-file
+  // expectation and the trap screen in the same pass.
   ir::CompiledEval local;
   const ir::CompiledEval* ref = options.reference;
   if (ref == nullptr) {
     local = ir::CompiledEval(cdfg);
     ref = &local;
   }
-  result.ref_outputs = ref->evaluate(inputs);
+  std::vector<std::int64_t> in(ref->num_inputs());
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    const std::string& name = ref->input_names()[k];
+    const auto it = inputs.find(name);
+    MHS_CHECK(it != inputs.end(),
+              "check_equivalence: missing input '" << name << "'");
+    in[k] = it->second;
+  }
+  std::vector<std::int64_t> ref_value(ref->num_ops());
+  if (!ref->run_ops(in, ref_value)) {
+    result.trapped = true;
+    return result;
+  }
+  for (const ir::OpId id : cdfg.outputs()) {
+    result.ref_outputs[cdfg.op(id).name] = ref_value[id.index()];
+  }
 
   const auto fail = [&](const std::string& what) {
     result.equivalent = false;

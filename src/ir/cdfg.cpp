@@ -1,7 +1,6 @@
 #include "ir/cdfg.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace mhs::ir {
 
@@ -51,44 +50,30 @@ bool op_is_compute(OpKind kind) {
          kind != OpKind::kOutput;
 }
 
-std::int64_t apply_op(OpKind kind, std::span<const std::int64_t> args) {
-  MHS_CHECK(static_cast<int>(args.size()) == op_arity(kind),
-            "apply_op(" << op_name(kind) << "): wrong arity "
-                        << args.size());
-  const auto shift_amount = [&](std::int64_t s) {
-    MHS_CHECK(s >= 0 && s < 64, "shift amount " << s << " out of [0,64)");
-    return static_cast<int>(s);
-  };
-  // Arithmetic is 64-bit two's-complement with wraparound, like the
-  // datapaths it models: fault injection can drive any bit pattern into
-  // an operand, so signed overflow must be well-defined, not UB.
-  const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
-  const auto wrap = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+namespace {
+
+/// The value of compute op `kind` on operands `a` that do not trap
+/// (op_traps is false); operands past the kind's arity are ignored.
+std::int64_t op_value(OpKind kind, const std::int64_t* a) {
   switch (kind) {
-    case OpKind::kAdd: return wrap(u(args[0]) + u(args[1]));
-    case OpKind::kSub: return wrap(u(args[0]) - u(args[1]));
-    case OpKind::kMul: return wrap(u(args[0]) * u(args[1]));
-    case OpKind::kDiv:
-      MHS_CHECK(args[1] != 0, "CDFG divide by zero");
-      if (args[0] == std::numeric_limits<std::int64_t>::min() &&
-          args[1] == -1) {
-        return args[0];  // the one quotient that overflows; wraps to itself
-      }
-      return args[0] / args[1];
+    case OpKind::kAdd: return wrap_add(a[0], a[1]);
+    case OpKind::kSub: return wrap_sub(a[0], a[1]);
+    case OpKind::kMul: return wrap_mul(a[0], a[1]);
+    case OpKind::kDiv: return wrap_div(a[0], a[1]);
     case OpKind::kShl:
-      return static_cast<std::int64_t>(static_cast<std::uint64_t>(args[0])
-                                       << shift_amount(args[1]));
-    case OpKind::kShr: return args[0] >> shift_amount(args[1]);
-    case OpKind::kAnd: return args[0] & args[1];
-    case OpKind::kOr:  return args[0] | args[1];
-    case OpKind::kXor: return args[0] ^ args[1];
-    case OpKind::kNeg: return wrap(0 - u(args[0]));
-    case OpKind::kAbs: return args[0] < 0 ? wrap(0 - u(args[0])) : args[0];
-    case OpKind::kMin: return std::min(args[0], args[1]);
-    case OpKind::kMax: return std::max(args[0], args[1]);
-    case OpKind::kCmpLt: return args[0] < args[1] ? 1 : 0;
-    case OpKind::kCmpEq: return args[0] == args[1] ? 1 : 0;
-    case OpKind::kSelect: return args[0] != 0 ? args[1] : args[2];
+      return static_cast<std::int64_t>(static_cast<std::uint64_t>(a[0])
+                                       << a[1]);
+    case OpKind::kShr: return a[0] >> a[1];
+    case OpKind::kAnd: return a[0] & a[1];
+    case OpKind::kOr:  return a[0] | a[1];
+    case OpKind::kXor: return a[0] ^ a[1];
+    case OpKind::kNeg: return wrap_neg(a[0]);
+    case OpKind::kAbs: return a[0] < 0 ? wrap_neg(a[0]) : a[0];
+    case OpKind::kMin: return std::min(a[0], a[1]);
+    case OpKind::kMax: return std::max(a[0], a[1]);
+    case OpKind::kCmpLt: return a[0] < a[1] ? 1 : 0;
+    case OpKind::kCmpEq: return a[0] == a[1] ? 1 : 0;
+    case OpKind::kSelect: return a[0] != 0 ? a[1] : a[2];
     case OpKind::kConst:
     case OpKind::kInput:
     case OpKind::kOutput:
@@ -96,6 +81,19 @@ std::int64_t apply_op(OpKind kind, std::span<const std::int64_t> args) {
   }
   MHS_ASSERT(false, "apply_op on non-compute kind " << op_name(kind));
   return 0;
+}
+
+}  // namespace
+
+std::int64_t apply_op(OpKind kind, std::span<const std::int64_t> args) {
+  MHS_CHECK(static_cast<int>(args.size()) == op_arity(kind),
+            "apply_op(" << op_name(kind) << "): wrong arity "
+                        << args.size());
+  if (op_traps(kind, args)) {
+    MHS_CHECK(kind != OpKind::kDiv, "CDFG divide by zero");
+    MHS_CHECK(false, "shift amount " << args[1] << " out of [0,64)");
+  }
+  return op_value(kind, args.data());
 }
 
 Cdfg Cdfg::from_ops(std::string name, std::vector<Op> ops) {
@@ -265,8 +263,8 @@ CompiledEval::CompiledEval(const Cdfg& cdfg) {
         input_names_.push_back(op.name);
         break;
       case OpKind::kOutput:
+        output_ops_.push_back(i);
         output_slots_.push_back(op.operands[0].index());
-        output_names_.push_back(op.name);
         break;
       default: {
         Step step{op.kind, i, {0, 0, 0}};
@@ -282,11 +280,26 @@ CompiledEval::CompiledEval(const Cdfg& cdfg) {
   }
 }
 
-void CompiledEval::run(std::span<const std::int64_t> in,
-                       std::span<std::int64_t> out) const {
+const CompiledEval::Step* CompiledEval::exec(
+    std::span<const std::int64_t> in, std::int64_t* value) const {
   MHS_CHECK(in.size() == input_slots_.size(),
             "CompiledEval: " << in.size() << " inputs, kernel expects "
                              << input_slots_.size());
+  std::copy(initial_.begin(), initial_.end(), value);
+  for (std::size_t k = 0; k < input_slots_.size(); ++k) {
+    value[input_slots_[k]] = in[k];
+  }
+  for (const Step& step : steps_) {
+    const std::int64_t args[3] = {value[step.arg[0]], value[step.arg[1]],
+                                  value[step.arg[2]]};
+    if (op_traps(step.kind, args)) return &step;
+    value[step.dst] = op_value(step.kind, args);
+  }
+  return nullptr;
+}
+
+void CompiledEval::run(std::span<const std::int64_t> in,
+                       std::span<std::int64_t> out) const {
   MHS_CHECK(out.size() == output_slots_.size(),
             "CompiledEval: " << out.size() << " output slots, kernel has "
                              << output_slots_.size());
@@ -300,38 +313,29 @@ void CompiledEval::run(std::span<const std::int64_t> in,
     heap_values.resize(initial_.size());
     value = heap_values.data();
   }
-  std::copy(initial_.begin(), initial_.end(), value);
-  for (std::size_t k = 0; k < input_slots_.size(); ++k) {
-    value[input_slots_[k]] = in[k];
-  }
-  for (const Step& step : steps_) {
-    const std::int64_t args[3] = {value[step.arg[0]], value[step.arg[1]],
-                                  value[step.arg[2]]};
-    value[step.dst] = apply_op(
-        step.kind,
-        std::span<const std::int64_t>(
-            args, static_cast<std::size_t>(op_arity(step.kind))));
+  if (const Step* trap = exec(in, value)) {
+    // Throws the trap's message, exactly as apply_op reports it.
+    const std::int64_t args[3] = {value[trap->arg[0]], value[trap->arg[1]],
+                                  value[trap->arg[2]]};
+    apply_op(trap->kind,
+             std::span<const std::int64_t>(
+                 args, static_cast<std::size_t>(op_arity(trap->kind))));
   }
   for (std::size_t m = 0; m < output_slots_.size(); ++m) {
     out[m] = value[output_slots_[m]];
   }
 }
 
-std::map<std::string, std::int64_t> CompiledEval::evaluate(
-    const std::map<std::string, std::int64_t>& in) const {
-  std::vector<std::int64_t> args(input_names_.size(), 0);
-  for (std::size_t k = 0; k < input_names_.size(); ++k) {
-    const auto it = in.find(input_names_[k]);
-    MHS_CHECK(it != in.end(), "missing input '" << input_names_[k] << "'");
-    args[k] = it->second;
+bool CompiledEval::run_ops(std::span<const std::int64_t> in,
+                           std::span<std::int64_t> values) const {
+  MHS_CHECK(values.size() == initial_.size(),
+            "CompiledEval: " << values.size() << " value slots, kernel has "
+                             << initial_.size() << " ops");
+  if (exec(in, values.data()) != nullptr) return false;
+  for (std::size_t m = 0; m < output_ops_.size(); ++m) {
+    values[output_ops_[m]] = values[output_slots_[m]];
   }
-  std::vector<std::int64_t> results(output_names_.size(), 0);
-  run(args, results);
-  std::map<std::string, std::int64_t> out;
-  for (std::size_t m = 0; m < output_names_.size(); ++m) {
-    out[output_names_[m]] = results[m];
-  }
-  return out;
+  return true;
 }
 
 std::size_t Cdfg::depth() const {

@@ -134,7 +134,7 @@ class Cdfg {
   std::vector<OpId> outputs() const;
 
   /// Evaluates the kernel on the given named inputs; returns named outputs.
-  /// Throws PreconditionError on a missing input or divide-by-zero.
+  /// Throws PreconditionError on a missing input or a trap (op_traps).
   std::map<std::string, std::int64_t> evaluate(
       const std::map<std::string, std::int64_t>& in) const;
 
@@ -174,45 +174,79 @@ class UseIndex {
   std::vector<OpId> users_;
 };
 
-/// Applies one operation to evaluated operand values (shared by the Cdfg
-/// evaluators, the equivalence checker, and hw::RtlSim).
+// The 64-bit meaning of the compute ops, defined once: apply_op (and
+// through it Cdfg::evaluate and hw::RtlSim), CompiledEval, the
+// optimizer's fold guard and the ISS's arithmetic all use it. Arithmetic
+// is two's-complement with wraparound, like the datapaths it models:
+// fault injection can drive any bit pattern into an operand, so signed
+// overflow must be well-defined, not UB.
+constexpr std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+constexpr std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+constexpr std::int64_t wrap_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+constexpr std::int64_t wrap_neg(std::int64_t a) { return wrap_sub(0, a); }
+/// Rounds toward zero; INT64_MIN / -1 wraps to INT64_MIN. Needs b != 0.
+constexpr std::int64_t wrap_div(std::int64_t a, std::int64_t b) {
+  return b == -1 ? wrap_neg(a) : a / b;
+}
+/// The one trap predicate: `kind` has no value on `args` — a zero
+/// divisor, or a shift amount outside [0,64). Every other op is total.
+constexpr bool op_traps(OpKind kind, std::span<const std::int64_t> args) {
+  if (kind == OpKind::kDiv) return args[1] == 0;
+  const bool shift = kind == OpKind::kShl || kind == OpKind::kShr;
+  return shift && (args[1] < 0 || args[1] >= 64);
+}
+
+/// Applies one operation to evaluated operand values. Throws
+/// PreconditionError on a wrong operand count or a trap (op_traps).
 std::int64_t apply_op(OpKind kind, std::span<const std::int64_t> args);
 
-/// A kernel precompiled for repeated evaluation.
+/// A kernel precompiled for repeated evaluation: the production
+/// evaluator, run per sample by co-simulation and per vector by
+/// hw::check_equivalence. (Cdfg::evaluate, which rebuilds name maps and
+/// argument vectors on every call, stays the independent oracle.)
 ///
-/// Cdfg::evaluate rebuilds name maps and per-op argument vectors on
-/// every call — fine for one-shot functional checks, ruinous in the
-/// co-simulation inner loop where the same kernel runs per sample.
 /// CompiledEval flattens the DAG once into fixed-slot steps (insertion
 /// order is topological, and a pure DAG evaluates to the same values in
-/// any topological order), then run() is a tight array walk delegating
-/// each step to apply_op — results bit-identical to evaluate(),
-/// including its divide-by-zero and shift-range traps.
+/// any topological order); both forms then run one tight array walk
+/// over the steps with the op semantics above, bit-identical to
+/// Cdfg::evaluate. run() throws apply_op's message at a trap; run_ops()
+/// reports it.
 ///
 /// Instances are cheap to move and safe to share across threads for
-/// run()/evaluate(), which touch only caller-provided and local state.
+/// run()/run_ops(), which touch only caller-provided and local state.
 class CompiledEval {
  public:
   CompiledEval() = default;
   /// Precondition: `cdfg` passes analysis::verify (builders guarantee it).
   explicit CompiledEval(const Cdfg& cdfg);
 
+  std::size_t num_ops() const { return initial_.size(); }
   std::size_t num_inputs() const { return input_names_.size(); }
-  std::size_t num_outputs() const { return output_names_.size(); }
-  /// Port names in Cdfg insertion order (= Cdfg::inputs()/outputs()).
+  std::size_t num_outputs() const { return output_slots_.size(); }
+  /// Input names in Cdfg insertion order (= Cdfg::inputs()).
   const std::vector<std::string>& input_names() const { return input_names_; }
-  const std::vector<std::string>& output_names() const {
-    return output_names_;
-  }
 
   /// Evaluates on positional inputs (input_names() order) and writes
-  /// num_outputs() values to `out` (output_names() order).
+  /// num_outputs() values to `out` (Cdfg::outputs() order).
   void run(std::span<const std::int64_t> in,
            std::span<std::int64_t> out) const;
 
-  /// Map-based convenience, bit-identical to Cdfg::evaluate.
-  std::map<std::string, std::int64_t> evaluate(
-      const std::map<std::string, std::int64_t>& in) const;
+  /// The per-op form, which never throws for a trap: evaluates on
+  /// positional inputs and writes every op's value to `values`
+  /// (num_ops() entries, indexed by OpId; an output op holds its
+  /// operand's value). Returns false at the first trapping op, leaving
+  /// the values of it and every later op unspecified.
+  bool run_ops(std::span<const std::int64_t> in,
+               std::span<std::int64_t> values) const;
 
  private:
   struct Step {
@@ -220,12 +254,18 @@ class CompiledEval {
     std::uint32_t dst;
     std::uint32_t arg[3];  ///< operand value slots (unused trail = 0)
   };
+  /// The step loop of both forms: fills `value` (num_ops() slots) with
+  /// the constants, the inputs and each step's result, and returns the
+  /// first trapping step (its slot unwritten), or null.
+  const Step* exec(std::span<const std::int64_t> in,
+                   std::int64_t* value) const;
+
   std::vector<Step> steps_;             ///< compute ops, insertion order
   std::vector<std::int64_t> initial_;   ///< value array with consts filled
   std::vector<std::uint32_t> input_slots_;
+  std::vector<std::uint32_t> output_ops_;    ///< op id per output
   std::vector<std::uint32_t> output_slots_;  ///< source slot per output
   std::vector<std::string> input_names_;
-  std::vector<std::string> output_names_;
 };
 
 /// Stable content hash of a kernel: op kinds, operand wiring, constant

@@ -210,16 +210,14 @@ struct Rebuild {
             }
           }
 
-          // Constant folding — but never fold a division by a constant
-          // zero: keep the op so it traps exactly like the original.
+          // Constant folding — but never fold an op that traps on its
+          // constants: keep it so it traps exactly like the original.
           std::vector<std::int64_t> values(args.size());
           bool all_const = true;
           for (std::size_t i = 0; i < args.size(); ++i) {
             all_const = all_const && is_const(args[i], &values[i]);
           }
-          const bool div_by_zero =
-              kind == OpKind::kDiv && all_const && values[1] == 0;
-          if (all_const && !div_by_zero) {
+          if (all_const && !op_traps(kind, values)) {
             remap[id.index()] = make_const(apply_op(kind, values));
             ++stats.constants_folded;
             break;

@@ -34,10 +34,11 @@ struct OptimizeStats {
 };
 
 /// Returns an equivalent, usually smaller kernel: identical outputs for
-/// every input assignment on which the original does not trap. A division
-/// whose divisor folds to a constant zero is kept (it still traps), but a
-/// trapping op that becomes unreachable from the outputs is removed, as
-/// in any conventional optimizing compiler.
+/// every input assignment on which the original does not trap. An op
+/// whose operands fold to constants it traps on (op_traps: a zero
+/// divisor, a shift amount outside [0,64)) is kept, so it still traps,
+/// but a trapping op that becomes unreachable from the outputs is
+/// removed, as in any conventional optimizing compiler.
 Cdfg optimize(const Cdfg& kernel, OptimizeStats* stats = nullptr);
 
 /// Range-aware overload: `facts` carries one proven value interval per op

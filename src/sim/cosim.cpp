@@ -13,11 +13,10 @@ namespace mhs::sim {
 namespace {
 
 /// Folds a kernel output into the run checksum. Injected faults can turn
-/// an output into any 64-bit pattern, so the accumulation is
-/// two's-complement wraparound, not (undefined) signed overflow.
+/// an output into any 64-bit pattern, so the fold is the CDFG's own
+/// wraparound add.
 void fold_checksum(std::int64_t& checksum, std::int64_t value) {
-  checksum = static_cast<std::int64_t>(static_cast<std::uint64_t>(checksum) +
-                                       static_cast<std::uint64_t>(value));
+  checksum = ir::wrap_add(checksum, value);
 }
 
 /// Recovery-window bookkeeping shared by the resilience harnesses: a
@@ -88,20 +87,6 @@ void attach_fallback(const hw::HlsResult& impl, DriverSpec& spec) {
         static_cast<std::uint64_t>(kRelocate));
   }
   spec.fallback_body = std::move(prog.code);
-}
-
-std::vector<std::string> kernel_input_names(const hw::HlsResult& impl) {
-  std::vector<std::string> names;
-  const ir::Cdfg& cdfg = impl.schedule.cdfg();
-  for (const ir::OpId id : cdfg.inputs()) names.push_back(cdfg.op(id).name);
-  return names;
-}
-
-std::vector<std::string> kernel_output_names(const hw::HlsResult& impl) {
-  std::vector<std::string> names;
-  const ir::Cdfg& cdfg = impl.schedule.cdfg();
-  for (const ir::OpId id : cdfg.outputs()) names.push_back(cdfg.op(id).name);
-  return names;
 }
 
 /// ISS-in-the-loop co-simulation (kPin and kRegister).
@@ -309,7 +294,6 @@ CosimReport run_driver_level(const hw::HlsResult& impl,
     // in cdfg.inputs()/outputs() order, the same order the samples and
     // checksum folds use.
     const ir::CompiledEval eval(impl.schedule.cdfg());
-    const auto out_names = kernel_output_names(impl);
     const ResiliencePolicy& pol = config.resilience;
     const Time window0 = pol.timeout_cycles != 0
                              ? pol.timeout_cycles
@@ -325,7 +309,7 @@ CosimReport run_driver_level(const hw::HlsResult& impl,
     bool degraded_sticky = false;
     RecoveryWindow window;
 
-    std::vector<std::int64_t> fallback_out(out_names.size(), 0);
+    std::vector<std::int64_t> fallback_out(eval.num_outputs(), 0);
     const auto run_fallback = [&](const std::vector<std::int64_t>& sample) {
       sim.advance_to(sim.now() + fallback_cycles);
       fault_wait += fallback_cycles;
@@ -482,10 +466,8 @@ CosimReport run_message_level(const hw::HlsResult& impl,
   // cdfg.inputs()/outputs() order, matching the samples and the
   // checksum-fold order below.
   const ir::CompiledEval eval(impl.schedule.cdfg());
-  const auto in_names = kernel_input_names(impl);
-  const auto out_names = kernel_output_names(impl);
-  std::vector<std::int64_t> eval_in(in_names.size(), 0);
-  std::vector<std::int64_t> eval_out(out_names.size(), 0);
+  std::vector<std::int64_t> eval_in(eval.num_inputs(), 0);
+  std::vector<std::int64_t> eval_out(eval.num_outputs(), 0);
 
   CosimReport report;
   report.level = config.level;
@@ -516,7 +498,7 @@ CosimReport run_message_level(const hw::HlsResult& impl,
 
     const auto evaluate_sample =
         [&](const std::vector<std::int64_t>& sample, bool remote) {
-          for (std::size_t k = 0; k < in_names.size(); ++k) {
+          for (std::size_t k = 0; k < eval.num_inputs(); ++k) {
             // Remote evaluation: the marshalled inputs crossed the bus.
             eval_in[k] =
                 remote ? fi->corrupt_bus_word(sample[k]) : sample[k];
@@ -538,7 +520,7 @@ CosimReport run_message_level(const hw::HlsResult& impl,
     };
 
     for (const auto& sample : samples) {
-      MHS_CHECK(sample.size() == in_names.size(),
+      MHS_CHECK(sample.size() == eval.num_inputs(),
                 "sample input arity mismatch");
       if (degraded_sticky) {
         run_fallback(sample);
@@ -548,7 +530,7 @@ CosimReport run_message_level(const hw::HlsResult& impl,
       Time window_cycles = window0;
       for (std::size_t attempt = 0; attempt <= pol.max_retries; ++attempt) {
         if (attempt > 0) fi->note_retry();
-        bus.message(8 * in_names.size());  // send
+        bus.message(8 * eval.num_inputs());  // send
         const std::uint64_t stall = fi->peripheral_stall_cycles();
         const Time reply_at =
             fault::FaultSpec::kHang - stall < static_cast<Time>(impl.latency)
@@ -565,7 +547,7 @@ CosimReport run_message_level(const hw::HlsResult& impl,
         }
         sim.advance_to(sim.now() + reply_at);
         peripheral_wait += reply_at;
-        bus.message(8 * out_names.size());  // receive
+        bus.message(8 * eval.num_outputs());  // receive
         got_result = true;
         break;
       }
@@ -596,14 +578,14 @@ CosimReport run_message_level(const hw::HlsResult& impl,
   }
 
   for (const auto& sample : samples) {
-    MHS_CHECK(sample.size() == in_names.size(),
+    MHS_CHECK(sample.size() == eval.num_inputs(),
               "sample input arity mismatch");
-    bus.message(8 * in_names.size());  // send
+    bus.message(8 * eval.num_inputs());  // send
     // The receive completes once the consumer has produced the result;
     // computation time is folded into the rendezvous rather than being a
     // separately simulated device activation.
     sim.advance_to(sim.now() + impl.latency);
-    bus.message(8 * out_names.size());  // receive
+    bus.message(8 * eval.num_outputs());  // receive
     eval.run(sample, eval_out);
     for (const std::int64_t value : eval_out) {
       fold_checksum(report.checksum, value);

@@ -5,13 +5,10 @@ namespace mhs::sim {
 StreamPeripheral::StreamPeripheral(Simulator& sim, const hw::HlsResult& impl,
                                    InterfaceLevel level)
     : sim_(&sim), impl_(&impl), level_(level),
-      eval_(impl.schedule.cdfg()) {
-  input_names_ = eval_.input_names();
-  output_names_ = eval_.output_names();
-  input_regs_.assign(input_names_.size(), 0);
-  output_regs_.assign(output_names_.size(), 0);
-  pending_out_.assign(output_names_.size(), 0);
-}
+      eval_(impl.schedule.cdfg()),
+      input_regs_(eval_.num_inputs(), 0),
+      output_regs_(eval_.num_outputs(), 0),
+      pending_out_(eval_.num_outputs(), 0) {}
 
 std::int64_t StreamPeripheral::reg_read(std::uint64_t offset) {
   if (offset == PeripheralLayout::kCtrl) {

@@ -70,8 +70,8 @@ class StreamPeripheral {
   /// Latency of one activation in cycles.
   Time latency() const { return impl_->latency; }
 
-  std::size_t num_inputs() const { return input_names_.size(); }
-  std::size_t num_outputs() const { return output_names_.size(); }
+  std::size_t num_inputs() const { return eval_.num_inputs(); }
+  std::size_t num_outputs() const { return eval_.num_outputs(); }
 
  private:
   void start();
@@ -84,8 +84,6 @@ class StreamPeripheral {
   /// The synthesized kernel precompiled once; each activation is then a
   /// flat array walk instead of a per-call sort + name-map evaluation.
   ir::CompiledEval eval_;
-  std::vector<std::string> input_names_;
-  std::vector<std::string> output_names_;
   std::vector<std::int64_t> input_regs_;
   std::vector<std::int64_t> output_regs_;
   /// Results of the in-flight activation, committed to output_regs_ by

@@ -34,7 +34,7 @@ enum class Opcode : std::uint8_t {
   kAdd,     ///< rd <- rs1 + rs2
   kSub,
   kMul,
-  kDiv,     ///< signed; traps on zero divisor
+  kDiv,     ///< signed; traps on zero divisor, INT64_MIN / -1 wraps
   kShl,     ///< rd <- rs1 << (rs2 & 63)
   kShr,     ///< arithmetic shift right
   kAnd,

@@ -1,5 +1,7 @@
 #include "sw/iss.h"
 
+#include "ir/cdfg.h"
+
 namespace mhs::sw {
 
 Iss::Iss(CpuModel model) : model_(std::move(model)) {
@@ -94,9 +96,9 @@ void Iss::set_reg(std::size_t r, std::int64_t value) {
 
 // Table-threaded interpreter: one handler per opcode, dispatched through
 // a function-pointer table instead of a switch. Each handler owns its
-// complete semantics (result, next pc, cycle accounting) and matches the
-// previous switch-based interpreter exactly, including the divide-by-zero
-// and iret-outside-handler checks.
+// complete semantics (result, next pc, cycle accounting). Arithmetic is
+// ir's (wraparound, INT64_MIN / -1 == INT64_MIN, ir::op_traps for a zero
+// divisor); shifts mask with & 63, as no trapping shift reaches the ISS.
 struct Iss::Ops {
   static std::int64_t rs1(const Iss& s, const Instr& i) { return s.reg(i.rs1); }
   static std::int64_t rs2(const Iss& s, const Instr& i) { return s.reg(i.rs2); }
@@ -122,20 +124,22 @@ struct Iss::Ops {
     return finish(s, i, s.pc_ + 1, false);
   }
   static std::uint64_t add(Iss& s, const Instr& i) {
-    s.set_reg(i.rd, rs1(s, i) + rs2(s, i));
+    s.set_reg(i.rd, ir::wrap_add(rs1(s, i), rs2(s, i)));
     return finish(s, i, s.pc_ + 1, false);
   }
   static std::uint64_t sub(Iss& s, const Instr& i) {
-    s.set_reg(i.rd, rs1(s, i) - rs2(s, i));
+    s.set_reg(i.rd, ir::wrap_sub(rs1(s, i), rs2(s, i)));
     return finish(s, i, s.pc_ + 1, false);
   }
   static std::uint64_t mul(Iss& s, const Instr& i) {
-    s.set_reg(i.rd, rs1(s, i) * rs2(s, i));
+    s.set_reg(i.rd, ir::wrap_mul(rs1(s, i), rs2(s, i)));
     return finish(s, i, s.pc_ + 1, false);
   }
   static std::uint64_t div(Iss& s, const Instr& i) {
-    MHS_CHECK(rs2(s, i) != 0, "ISS divide by zero at pc " << s.pc_);
-    s.set_reg(i.rd, rs1(s, i) / rs2(s, i));
+    const std::int64_t args[2] = {rs1(s, i), rs2(s, i)};
+    MHS_CHECK(!ir::op_traps(ir::OpKind::kDiv, args),
+              "ISS divide by zero at pc " << s.pc_);
+    s.set_reg(i.rd, ir::wrap_div(args[0], args[1]));
     return finish(s, i, s.pc_ + 1, false);
   }
   static std::uint64_t shl(Iss& s, const Instr& i) {
@@ -170,7 +174,7 @@ struct Iss::Ops {
     return finish(s, i, s.pc_ + 1, false);
   }
   static std::uint64_t addi(Iss& s, const Instr& i) {
-    s.set_reg(i.rd, rs1(s, i) + i.imm);
+    s.set_reg(i.rd, ir::wrap_add(rs1(s, i), i.imm));
     return finish(s, i, s.pc_ + 1, false);
   }
   static std::uint64_t cmovnz(Iss& s, const Instr& i) {

@@ -4,8 +4,8 @@
 //
 // The contract under attack: for every randomly generated CDFG and every
 // random input assignment inside the declared input ranges on which the
-// kernel does not trap, the concrete value ir::apply_op computes for an
-// op must lie inside the interval AND match the known-bits masks
+// kernel does not trap, the concrete value ir::CompiledEval computes for
+// an op must lie inside the interval AND match the known-bits masks
 // absint_cdfg derived for that op — and fit in the proven bitwidth.
 //
 // Kernels are seeded deterministically (kernel i uses seed base+i, base
@@ -35,53 +35,11 @@
 namespace mhs::analysis {
 namespace {
 
-using fuzz::draw_in_range;
 using fuzz::random_kernel;
 
 constexpr std::int64_t kI64Min = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
 constexpr std::uint64_t kSeedBase = 0xab51'f022ull;
-
-/// Concrete reference evaluation mirroring ir::apply_op's trap rules.
-/// Returns false (trap: the sample is outside the soundness contract)
-/// instead of letting apply_op MHS_CHECK-abort.
-bool eval_concrete(const ir::Cdfg& k,
-                   const std::vector<std::int64_t>& input_values,
-                   std::vector<std::int64_t>* value) {
-  value->assign(k.num_ops(), 0);
-  std::size_t next_input = 0;
-  for (const ir::OpId id : k.op_ids()) {
-    const ir::Op& op = k.op(id);
-    std::vector<std::int64_t> args;
-    for (const ir::OpId operand : op.operands) {
-      args.push_back((*value)[operand.index()]);
-    }
-    switch (op.kind) {
-      case ir::OpKind::kInput:
-        (*value)[id.index()] = input_values[next_input++];
-        break;
-      case ir::OpKind::kConst:
-        (*value)[id.index()] = op.value;
-        break;
-      case ir::OpKind::kOutput:
-        (*value)[id.index()] = args[0];
-        break;
-      case ir::OpKind::kDiv:
-        if (args[1] == 0) return false;  // trap
-        (*value)[id.index()] = ir::apply_op(op.kind, args);
-        break;
-      case ir::OpKind::kShl:
-      case ir::OpKind::kShr:
-        if (args[1] < 0 || args[1] >= 64) return false;  // trap
-        (*value)[id.index()] = ir::apply_op(op.kind, args);
-        break;
-      default:
-        (*value)[id.index()] = ir::apply_op(op.kind, args);
-        break;
-    }
-  }
-  return true;
-}
 
 bool fits_width(std::int64_t v, std::size_t w) {
   if (w >= 64) return true;
@@ -90,13 +48,12 @@ bool fits_width(std::int64_t v, std::size_t w) {
   return lo <= v && v <= hi;
 }
 
-/// Checks one kernel/sample pair; on the first escaping op, shrinks to
-/// its cone and reports both forms. Returns false on escape.
+/// Checks one kernel/sample pair, given every op's concrete `value` on
+/// the sample; on the first escaping op, shrinks to its cone and reports
+/// both forms. Returns false on escape.
 bool check_sample(const ir::Cdfg& k, const AbsintResult& result,
                   const std::vector<std::int64_t>& input_values,
-                  std::uint64_t seed) {
-  std::vector<std::int64_t> value;
-  if (!eval_concrete(k, input_values, &value)) return true;  // trapped
+                  const std::vector<std::int64_t>& value, std::uint64_t seed) {
   for (const ir::OpId id : k.op_ids()) {
     const std::int64_t v = value[id.index()];
     const AbsValue& abs = result.value(id);
@@ -150,6 +107,8 @@ TEST(AbsintFuzz, NoIntervalOrKnownBitsEscapes) {
     ASSERT_EQ(result.values.size(), k.num_ops());
     ASSERT_EQ(result.width.size(), k.num_ops());
     Rng rng(seed ^ 0x5eed5a3e11ull);
+    const ir::CompiledEval eval(k);
+    std::vector<std::int64_t> value(k.num_ops());
     const std::vector<ir::OpId> inputs = k.inputs();
     for (std::size_t s = 0; s < kSamplesPerKernel; ++s) {
       std::vector<std::int64_t> input_values;
@@ -165,13 +124,12 @@ TEST(AbsintFuzz, NoIntervalOrKnownBitsEscapes) {
         }
         input_values.push_back(v);
       }
-      std::vector<std::int64_t> value;
-      if (!eval_concrete(k, input_values, &value)) {
+      if (!eval.run_ops(input_values, value)) {
         ++trapped_samples;
         continue;
       }
       ++checked_samples;
-      if (!check_sample(k, result, input_values, seed)) {
+      if (!check_sample(k, result, input_values, value, seed)) {
         return;  // first escape fully reported; stop the campaign
       }
     }

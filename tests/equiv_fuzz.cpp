@@ -220,7 +220,7 @@ TEST(EquivFuzz, RtlSimMatchesCompiledReferenceAtScale) {
         switch (rng.uniform_int(0, 3)) {
           case 0:  v = r.lo; break;
           case 1:  v = r.hi; break;
-          default: v = fuzz::draw_in_range(rng, r.lo, r.hi); break;
+          default: v = draw_in_range(rng, r.lo, r.hi); break;
         }
         inputs[k.op(id).name] = v;
       }

@@ -12,15 +12,12 @@
 //                              uses seed base + i, so any failure
 //                              reproduces from the printed seed alone.
 //
-// Also hosts the UB-safe full-range draw helpers every fuzzer needs
-// (Rng::uniform_int over the whole i64 span would compute hi - lo in
-// signed arithmetic — UB the sanitize gate's UBSan build rejects).
+// The full-range draws every fuzzer takes its input values from are
+// mhs::raw_u64 and mhs::draw_in_range (base/rng.h).
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
-
-#include "base/rng.h"
 
 namespace mhs::fuzz {
 
@@ -52,26 +49,6 @@ inline std::uint64_t fuzz_seed_base(const char* env_name,
     }
   }
   return default_base;
-}
-
-/// A full 64-bit draw composed from two half-width uniform_int calls.
-inline std::uint64_t raw_u64(Rng& rng) {
-  constexpr std::int64_t kHalf = (std::int64_t{1} << 32) - 1;
-  const auto low = static_cast<std::uint64_t>(rng.uniform_int(0, kHalf));
-  const auto high = static_cast<std::uint64_t>(rng.uniform_int(0, kHalf));
-  return (high << 32) | low;
-}
-
-/// Uniform-ish draw in [lo, hi] inclusive, safe for arbitrary i64 spans.
-/// (Modulo bias is irrelevant at fuzzing scale.)
-inline std::int64_t draw_in_range(Rng& rng, std::int64_t lo, std::int64_t hi) {
-  const std::uint64_t width =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
-  if (width == ~std::uint64_t{0}) {
-    return static_cast<std::int64_t>(raw_u64(rng));
-  }
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
-                                   raw_u64(rng) % (width + 1));
 }
 
 }  // namespace mhs::fuzz

@@ -1,6 +1,7 @@
 // Unit tests for mhs::base — error handling, RNG, stats, tables, Q16.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "base/error.h"
@@ -72,6 +73,42 @@ TEST(Rng, UniformIntSingleton) {
 TEST(Rng, UniformIntRejectsInvertedRange) {
   Rng rng(1);
   EXPECT_THROW(rng.uniform_int(2, 1), PreconditionError);
+}
+
+TEST(Rng, FullSpanDrawsAreDefined) {
+  // Spans wider than INT64_MAX: hi - lo and lo + offset are computed
+  // unsigned, so UBSan sees no signed overflow. The full span is the raw
+  // stream, and draw_in_range over it is raw_u64's.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng a(7);
+  Rng b(7);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(a.uniform_int(kMin, kMax), static_cast<std::int64_t>(b.next()));
+  }
+  bool negative = false;
+  bool positive = false;
+  for (int i = 0; i < 256; ++i) {
+    const std::int64_t low_half = a.uniform_int(kMin, 0);
+    const std::int64_t high_half = a.uniform_int(-1, kMax);
+    EXPECT_LE(low_half, 0);
+    EXPECT_GE(high_half, -1);
+    negative = negative || low_half < -(std::int64_t{1} << 62);
+    positive = positive || high_half > (std::int64_t{1} << 62);
+  }
+  EXPECT_TRUE(negative);
+  EXPECT_TRUE(positive);
+
+  Rng c(11);
+  Rng d(11);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(draw_in_range(c, kMin, kMax),
+              static_cast<std::int64_t>(raw_u64(d)));
+    const std::int64_t v = draw_in_range(c, kMin + 5, -3);
+    EXPECT_GE(v, kMin + 5);
+    EXPECT_LE(v, -3);
+    (void)raw_u64(d);
+  }
 }
 
 TEST(Rng, UniformInUnitInterval) {

@@ -20,6 +20,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "analysis/lint.h"
 #include "analysis/verify.h"
 #include "apps/kernels.h"
+#include "base/rng.h"
 #include "core/flow.h"
 #include "fuzz_env.h"
 #include "fuzz_kernels.h"
@@ -182,6 +185,73 @@ TEST(RoundTrip, EveryVerifiedRandomKernelRoundTrips) {
     }
   }
   EXPECT_GT(checked, iters / 2);
+}
+
+TEST(CompiledEvalDifferential, AgreesWithEvaluateOpByOp) {
+  // ir::CompiledEval, the production evaluator, against the independent
+  // oracle Cdfg::evaluate on random kernels (seeds as RoundTrip's, under
+  // the fuzz_env.h contract) with range-corner inputs: run() returns
+  // evaluate's outputs whenever evaluate returns, the per-op form traps
+  // exactly when evaluate throws, and each op's value is evaluate of
+  // that op's cone. Kernels the verifier rejects for a constant trap
+  // (CDFG008/009) stay in: they are the sure traps.
+  const std::size_t iters = fuzz::fuzz_iters(3000);
+  const std::uint64_t base = fuzz::fuzz_seed_base("MHS_ROUNDTRIP_SEED", 1);
+  std::size_t returned = 0;
+  std::size_t trapped = 0;
+  for (std::size_t i = 0; i < iters; ++i) {
+    const std::uint64_t seed = base + i;
+    const ir::Cdfg k = fuzz::random_kernel(seed);
+    const ir::CompiledEval eval(k);
+    std::vector<ir::Cdfg> cones;
+    for (const ir::OpId id : k.op_ids()) {
+      cones.push_back(ir::extract_cone(k, id));
+    }
+    const std::vector<ir::OpId> inputs = k.inputs();
+    Rng rng(seed ^ 0xc0de'e7a1ull);
+    for (int sample = 0; sample < 4; ++sample) {
+      std::vector<std::int64_t> in;
+      std::map<std::string, std::int64_t> named;
+      for (const ir::OpId id : inputs) {
+        const ir::ValueRange r = k.op(id).range.value_or(ir::ValueRange{});
+        std::int64_t v;
+        switch (rng.uniform_int(0, 3)) {
+          case 0:  v = r.lo; break;
+          case 1:  v = r.hi; break;
+          default: v = draw_in_range(rng, r.lo, r.hi); break;
+        }
+        in.push_back(v);
+        named[k.op(id).name] = v;
+      }
+      std::optional<std::map<std::string, std::int64_t>> want;
+      try {
+        want = k.evaluate(named);
+      } catch (const PreconditionError&) {
+      }
+      std::vector<std::int64_t> values(k.num_ops());
+      std::vector<std::int64_t> out(eval.num_outputs());
+      const bool ok = eval.run_ops(in, values);
+      ASSERT_EQ(ok, want.has_value())
+          << "seed " << seed << " sample " << sample << ":\n"
+          << ir::to_text(k);
+      if (!ok) {
+        EXPECT_THROW(eval.run(in, out), PreconditionError) << "seed " << seed;
+        ++trapped;
+        continue;
+      }
+      ++returned;
+      eval.run(in, out);
+      ASSERT_EQ(out.size(), 1u);
+      EXPECT_EQ(out[0], want->at("y")) << "seed " << seed;
+      for (const ir::OpId id : k.op_ids()) {
+        ASSERT_EQ(values[id.index()], cones[id.index()].evaluate(named).at("y"))
+            << "seed " << seed << " sample " << sample << " op " << id.index()
+            << ":\n" << ir::to_text(k);
+      }
+    }
+  }
+  EXPECT_GT(returned, iters);
+  EXPECT_GT(trapped, iters / 20);
 }
 
 }  // namespace

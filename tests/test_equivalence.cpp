@@ -197,6 +197,24 @@ TEST(CheckEquivalence, TrappingVectorsAreScreenedNotCompared) {
   const EquivResult ok = check_equivalence(impl, {{"a", 10}, {"b", 3}});
   EXPECT_FALSE(ok.trapped);
   EXPECT_TRUE(ok.equivalent) << ok.detail;
+
+  // A shift amount outside [0,64) traps both ways.
+  ir::Cdfg s("trapshift");
+  const ir::OpId x = s.input("x");
+  const ir::OpId n = s.input("n");
+  s.output("l", s.shl(x, n));
+  s.output("r", s.shr(x, n));
+  const HlsResult shifter = synth(s, HlsGoal::kMinArea);
+  for (const std::int64_t amount : {-1, 64}) {
+    const EquivResult t = check_equivalence(shifter, {{"x", 5}, {"n", amount}});
+    EXPECT_TRUE(t.trapped) << amount;
+    EXPECT_TRUE(t.equivalent) << amount;
+    EXPECT_TRUE(t.ref_outputs.empty()) << amount;
+  }
+  const EquivResult shifted =
+      check_equivalence(shifter, {{"x", 5}, {"n", 63}});
+  EXPECT_FALSE(shifted.trapped);
+  EXPECT_TRUE(shifted.equivalent) << shifted.detail;
 }
 
 TEST(CheckEquivalence, ReportsTamperedImplementationAsNonEquivalent) {

@@ -90,10 +90,23 @@ TEST(Optimize, CascadesToFixpoint) {
 }
 
 TEST(Optimize, KeepsConstantDivisionByZero) {
-  ir::Cdfg c("trap");
-  c.output("y", c.binary(ir::OpKind::kDiv, c.constant(5), c.constant(0)));
-  const ir::Cdfg opt = optimize(c);
-  EXPECT_THROW(opt.evaluate({}), PreconditionError);
+  // An op that traps on its folded constants stays, so the optimized
+  // kernel still traps: a zero divisor, and a shift amount outside
+  // [0,64) whether it is a constant or folds to one.
+  ir::Cdfg div("trap");
+  div.output("y",
+             div.binary(ir::OpKind::kDiv, div.constant(5), div.constant(0)));
+  ir::Cdfg shl("shl_trap");
+  shl.output("y", shl.shl(shl.constant(1), shl.constant(100)));
+  ir::Cdfg folded("folded_shl_trap");
+  folded.output("y", folded.shl(folded.constant(1),
+                                folded.add(folded.constant(50),
+                                           folded.constant(50))));
+  for (const ir::Cdfg* c : {&div, &shl, &folded}) {
+    ir::Cdfg opt;
+    ASSERT_NO_THROW(opt = optimize(*c)) << c->name();
+    EXPECT_THROW(opt.evaluate({}), PreconditionError) << c->name();
+  }
 }
 
 TEST(Optimize, SelectWithConstantCondition) {

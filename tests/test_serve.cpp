@@ -34,6 +34,7 @@
 #include "fault/fault.h"
 #include "fuzz_env.h"
 #include "hw/hls.h"
+#include "ir/serialize.h"
 #include "obs/json.h"
 #include "sim/cosim.h"
 #include "sim/run.h"
@@ -252,7 +253,7 @@ TEST(ServeApi, U64FieldsKeepEveryDigit) {
   Rng rng(0x64);
   std::vector<std::uint64_t> values = {0, 9007199254740992u,
                                        9007199254740993u, UINT64_MAX};
-  for (int i = 0; i < 64; ++i) values.push_back(fuzz::raw_u64(rng));
+  for (int i = 0; i < 64; ++i) values.push_back(raw_u64(rng));
   for (const std::uint64_t v : values) {
     Request flow;
     flow.endpoint = Endpoint::kFlow;
@@ -804,6 +805,90 @@ TEST(ServeDispatch, FaultCampaignHonoursItsSeedWhileMhsFaultSeedIsSet) {
               r.degradations);
     EXPECT_EQ(result_number(response, "resilience.recovery_cycles"),
               r.recovery_cycles);
+  }
+}
+
+TEST(ServeDispatch, FaultCampaignFallbackWrapsLikeTheReference) {
+  // Every activation hangs (peripheral_stall at rate 1 with param
+  // 2^64-1), so every sample completes on the driver's software
+  // fallback: the compiled body on the ISS at pin and register level, the
+  // compiled kernel at driver and message level. On kernels whose
+  // arithmetic wraps, every level must answer with the wraparound fold of
+  // Cdfg::evaluate over the samples.
+  const char* const kernels[] = {
+      // y = x + INT64_MIN / -1
+      "cdfg div_wrap\nop input x\nop const -9223372036854775808\n"
+      "op const -1\nop div 1 2\nop add 0 3\nop output y 4\nend\n",
+      // y = (x + INT64_MAX) * 2^62, z = x * INT64_MIN - INT64_MAX
+      "cdfg overflow\nop input x\nop const 9223372036854775807\n"
+      "op add 0 1\nop const 4611686018427387904\nop mul 2 3\n"
+      "op output y 4\nop const -9223372036854775808\nop mul 0 6\n"
+      "op sub 7 1\nop output z 8\nend\n"};
+  for (const char* text : kernels) {
+    const ir::Cdfg kernel = ir::cdfg_from_text(text);
+    Request request;
+    request.endpoint = Endpoint::kFaultCampaign;
+    request.cosim.kernel_text = text;
+    request.cosim.faults.push_back(
+        {"peripheral_stall", 1.0, fault::FaultSpec::kHang, UINT64_MAX});
+    const std::vector<ir::OpId> inputs = kernel.inputs();
+    std::int64_t want = 0;
+    for (const std::vector<std::int64_t>& sample : core::cosim_samples(
+             kernel, request.cosim.samples, request.cosim.seed)) {
+      std::map<std::string, std::int64_t> named;
+      for (std::size_t k = 0; k < inputs.size(); ++k) {
+        named[kernel.op(inputs[k]).name] = sample[k];
+      }
+      for (const auto& [name, value] : kernel.evaluate(named)) {
+        want = ir::wrap_add(want, value);
+      }
+    }
+    for (const char* level : {"pin", "register", "driver", "message"}) {
+      request.cosim.level = level;
+      const Response response = Dispatcher().handle(request);
+      ASSERT_EQ(response.status, 200)
+          << kernel.name() << " " << level << ": " << response.error;
+      EXPECT_NE(response.result_json.find(
+                    "\"checksum\":" + std::to_string(want) + ","),
+                std::string::npos)
+          << kernel.name() << " " << level << ": " << response.result_json;
+      EXPECT_GT(result_number(response, "resilience.degradations"), 0.0)
+          << kernel.name() << " " << level;
+    }
+  }
+}
+
+TEST(ServeDispatch, ExploreKeepsAShiftThatFoldsOutOfRange) {
+  // The shift amount folds to 100 only in the optimizer, so the kernel
+  // verifies; the optimizer keeps the trapping shift instead of
+  // throwing, and every point of the sweep is scored.
+  Request request;
+  request.endpoint = Endpoint::kExplore;
+  request.explore.graph =
+      "taskgraph pair\n"
+      "task t0 sw=100 hw=10 area=50\n"
+      "task t1 sw=400 hw=20 area=80\n"
+      "edge 0 1 bytes=8\n"
+      "end\n";
+  request.explore.kernels = {
+      fixture("valid_small.cdfg"),
+      "cdfg folded_shift\nop input x\nop const 1\nop const 50\n"
+      "op add 2 2\nop shl 1 3\nop add 0 4\nop output y 5\nend\n"};
+  // Targets above zero: the hot_spot and unload points need one.
+  request.explore.latency_targets = {5000.0, 10000.0};
+  const Response response = Dispatcher().handle(request);
+  ASSERT_EQ(response.status, 200) << response.error;
+  const std::optional<obs::JsonValue> doc =
+      obs::json_parse(response.result_json);
+  ASSERT_TRUE(doc.has_value());
+  const obs::JsonValue* points = doc->find("points");
+  ASSERT_NE(points, nullptr);
+  ASSERT_FALSE(points->as_array().empty());
+  for (const obs::JsonValue& point : points->as_array()) {
+    EXPECT_EQ(point.find("error")->as_string(), "") << response.result_json;
+    const obs::JsonValue* latency = point.find("latency_cycles");
+    ASSERT_NE(latency, nullptr) << response.result_json;
+    EXPECT_GT(latency->as_number(), 0.0);
   }
 }
 

@@ -2,6 +2,9 @@
 // allocation/spilling, the ISS, MMIO, interrupts, and estimation.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "apps/kernels.h"
 #include "base/rng.h"
 #include "base/stats.h"
@@ -160,6 +163,42 @@ TEST(Iss, DivideByZeroTraps) {
       Instr{Opcode::kHalt, 0, 0, 0, 0},
   });
   EXPECT_THROW(iss.run(), PreconditionError);
+}
+
+TEST(Iss, ArithmeticWrapsLikeTheCdfg) {
+  // At the i64 corners the ISS computes what ir::apply_op does:
+  // two's-complement wraparound, and INT64_MIN / -1 == INT64_MIN.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t corners[] = {kMin, kMin + 1, -2, -1, 0,
+                                  1,    2,        kMax - 1, kMax};
+  const std::pair<Opcode, ir::OpKind> ops[] = {
+      {Opcode::kAdd, ir::OpKind::kAdd},
+      {Opcode::kSub, ir::OpKind::kSub},
+      {Opcode::kMul, ir::OpKind::kMul},
+      {Opcode::kDiv, ir::OpKind::kDiv}};
+  Iss iss;
+  for (const std::int64_t a : corners) {
+    for (const std::int64_t b : corners) {
+      const std::int64_t args[2] = {a, b};
+      for (const auto& [opcode, kind] : ops) {
+        if (kind == ir::OpKind::kDiv && b == 0) continue;
+        iss.load_program({Instr{Opcode::kLi, 1, 0, 0, a},
+                          Instr{Opcode::kLi, 2, 0, 0, b},
+                          Instr{opcode, 3, 1, 2, 0},
+                          Instr{Opcode::kHalt, 0, 0, 0, 0}});
+        iss.run();
+        EXPECT_EQ(iss.reg(3), ir::apply_op(kind, args))
+            << ir::op_name(kind) << "(" << a << ", " << b << ")";
+      }
+      iss.load_program({Instr{Opcode::kLi, 1, 0, 0, a},
+                        Instr{Opcode::kAddi, 3, 1, 0, b},
+                        Instr{Opcode::kHalt, 0, 0, 0, 0}});
+      iss.run();
+      EXPECT_EQ(iss.reg(3), ir::apply_op(ir::OpKind::kAdd, args))
+          << "addi(" << a << ", " << b << ")";
+    }
+  }
 }
 
 TEST(Codegen, StraightLineKernelMatchesEvaluator) {
